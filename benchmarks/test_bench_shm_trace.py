@@ -11,8 +11,10 @@ resolved trace is published into shared memory exactly once per batch.
 
 The legacy side below *is* the pre-arena behaviour, reconstructed from
 the escape hatches: ``REPRO_SHM_TRACE=0`` (pickled trace shipping) plus
-``persistent=False`` (one pool per batch).  The comparison is relative
-(same machine, same process) so it is robust to slow CI hosts; absolute
+``persistent=False`` (one pool per batch).  The two planes run as two live
+engines whose batches alternate in one process (legacy first in even
+rounds, arena first in odd ones), so a host whose speed drifts over
+seconds slows both sides alike instead of deciding the verdict; absolute
 numbers from a quiet host live in ``BENCH_shm_trace_plane.json``.
 """
 
@@ -35,7 +37,8 @@ KERNELS = (
     ("png_filter_up", 0.25),
     ("png_filter_up", 0.5),
 )
-BATCHES = 6
+#: timed rounds; each runs one batch on each plane
+BATCHES = 16
 
 
 def sweep_jobs():
@@ -55,27 +58,49 @@ def drop_results_keep_traces(store_root, jobs):
             path.unlink()
 
 
-def run_batches(store_root, jobs, adapter):
-    """One engine, one untimed warm-up batch, ``BATCHES`` timed batches
-    (results dropped between batches so every batch really replays).
-    Returns (per-batch walls, engine, last batch's outcomes)."""
-    engine = ParallelSweepEngine(store=ResultStore(store_root), adapter=adapter)
-    walls, last = [], {}
+class Plane:
+    """One engine plus the per-batch walls and last outcomes it produced."""
+
+    def __init__(self, store_root, adapter, shm_trace):
+        self.engine = ParallelSweepEngine(store=ResultStore(store_root), adapter=adapter)
+        self.shm_trace = shm_trace
+        self.walls = []
+        self.last = {}
+
+    def run_batch(self, store_root, jobs, monkeypatch, timed):
+        """One batch over ``jobs``, results dropped first so it really
+        replays.  The arena switch is read when a batch starts."""
+        if self.shm_trace:
+            monkeypatch.delenv("REPRO_SHM_TRACE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SHM_TRACE", "0")
+        drop_results_keep_traces(store_root, jobs)
+        self.engine._trace_store_hit_specs.clear()
+        self.last = {}
+        start = time.perf_counter()
+        done = self.engine.stream_jobs(
+            jobs, on_result=lambda job, out, *_: self.last.__setitem__(job, out)
+        )
+        if timed:
+            self.walls.append(time.perf_counter() - start)
+        assert done == len(jobs)
+
+
+def run_interleaved(store_root, jobs, monkeypatch):
+    """An untimed warm-up round, then ``BATCHES`` timed rounds; each round
+    runs one batch per plane, alternating which plane goes first."""
+    legacy = Plane(store_root, LocalPoolAdapter(jobs=2, persistent=False), shm_trace=False)
+    arena = Plane(store_root, LocalPoolAdapter(jobs=2, persistent=True), shm_trace=True)
     try:
-        for timed in [False] + [True] * BATCHES:
-            drop_results_keep_traces(store_root, jobs)
-            engine._trace_store_hit_specs.clear()
-            last = {}
-            start = time.perf_counter()
-            done = engine.stream_jobs(
-                jobs, on_result=lambda job, out, *_: last.__setitem__(job, out)
-            )
-            if timed:
-                walls.append(time.perf_counter() - start)
-            assert done == len(jobs)
+        for round_index in range(BATCHES + 1):
+            order = (legacy, arena) if round_index % 2 == 0 else (arena, legacy)
+            for plane in order:
+                plane.run_batch(store_root, jobs, monkeypatch, timed=round_index > 0)
     finally:
-        engine.close()
-    return walls, engine, last
+        legacy.engine.close()
+        arena.engine.close()
+        monkeypatch.delenv("REPRO_SHM_TRACE", raising=False)
+    return legacy, arena
 
 
 def outcome_map(outcomes):
@@ -90,18 +115,13 @@ def test_arena_pool_beats_per_batch_pickle_pool(tmp_path, monkeypatch):
     ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path)).run_jobs(jobs)
 
     # Legacy plane: fresh pool every batch, traces pickled into each task.
-    monkeypatch.setenv("REPRO_SHM_TRACE", "0")
-    legacy_walls, legacy_engine, legacy_last = run_batches(
-        tmp_path, jobs, LocalPoolAdapter(jobs=2, persistent=False)
-    )
-    monkeypatch.delenv("REPRO_SHM_TRACE")
-
-    arena_walls, arena_engine, arena_last = run_batches(
-        tmp_path, jobs, LocalPoolAdapter(jobs=2, persistent=True)
-    )
+    # Arena plane: one persistent pool, traces published to shared memory.
+    legacy, arena = run_interleaved(tmp_path, jobs, monkeypatch)
+    legacy_walls, legacy_engine = legacy.walls, legacy.engine
+    arena_walls, arena_engine = arena.walls, arena.engine
 
     # Same results bit-for-bit, whichever plane shipped the traces.
-    assert outcome_map(arena_last) == outcome_map(legacy_last)
+    assert outcome_map(arena.last) == outcome_map(legacy.last)
 
     # The contracts that produce the speedup: the legacy side never touched
     # the arena; the arena side published each resolved trace exactly once

@@ -36,6 +36,7 @@ from ..isa.instructions import (
     ScalarBlock,
     TraceEntry,
 )
+from ..isa.mask import DimMask
 from ..sram.schemes import ComputeScheme
 
 __all__ = ["to_simt_trace", "DualityCacheModel"]
@@ -82,7 +83,7 @@ def _control_flow_ops(block: ScalarBlock, shape: tuple[int, ...]) -> list[Arithm
             dest=-1,
             sources=(-1, -1),
             shape_lengths=shape,
-            mask=(),
+            mask=DimMask.EMPTY,
         )
         for _ in range(count)
     ]
@@ -101,7 +102,7 @@ def _spill_pair(shape: tuple[int, ...], slot: int) -> list[MemoryInstruction]:
         stride_modes=(1,),
         resolved_strides=(1,),
         shape_lengths=shape,
-        mask=(),
+        mask=DimMask.EMPTY,
         is_spill=True,
     )
     return [

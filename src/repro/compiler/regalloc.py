@@ -22,6 +22,7 @@ from ..isa.instructions import (
     ScalarBlock,
     TraceEntry,
 )
+from ..isa.mask import DimMask
 from ..isa.registers import PhysicalRegisterFile
 from .liveness import LivenessInfo, analyze_liveness, defined_register, used_registers
 
@@ -67,7 +68,7 @@ def _spill_instruction(
         is_random=False,
         resolved_strides=(1,),
         shape_lengths=(lanes,),
-        mask=(),
+        mask=DimMask.EMPTY,
         is_spill=True,
     )
 

@@ -40,10 +40,10 @@ def element_addresses(instruction: MemoryInstruction) -> np.ndarray:
     if not instruction.is_random:
         addresses += instruction.base_address
 
-    if instruction.mask:
-        mask_bits = np.asarray(instruction.mask, dtype=bool)
+    mask = instruction.mask
+    if not mask.all_set:
         inner = total // lengths[-1]
-        addresses = addresses[mask_bits[lanes // inner]]
+        addresses = addresses[mask.lanes()[lanes // inner]]
     return addresses
 
 

@@ -59,14 +59,7 @@ class MVEControllerModel:
         lengths = getattr(instruction, "shape_lengths", ())
         if not lengths:
             return self.geometry.bitlines
-        total = 1
-        for length in lengths:
-            total *= length
-        mask = getattr(instruction, "mask", ())
-        if mask:
-            inner = total // lengths[-1]
-            return inner * sum(mask)
-        return total
+        return instruction.mask.active_elements(lengths)
 
     def placement(self, instruction, element_bits: int) -> InstructionPlacement:
         """Compute lane/CB occupancy and repeat count for an instruction."""

@@ -8,9 +8,11 @@ replaces that with POSIX shared memory:
 
 * the sweep parent **publishes** each resolved trace's columnar arrays
   (:func:`repro.isa.trace_io.trace_columns`) into one
-  ``multiprocessing.shared_memory`` segment, exactly once per batch;
+  ``multiprocessing.shared_memory`` segment, exactly once per batch, in
+  the self-describing flat buffer of :func:`repro.isa.trace_io.pack_trace`
+  (the same buffer the trace codec compresses);
 * tasks ship only a tiny :class:`TraceHandle` -- segment name, spec key,
-  per-column dtype/offset/length descriptors and the sparse scalar notes;
+  entry count and the sparse scalar notes;
 * workers **attach** zero-copy read-only ``np.frombuffer`` views over the
   segment and rebuild the exact entry list via
   :func:`~repro.isa.trace_io.entries_from_columns` -- once per worker per
@@ -47,6 +49,7 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
+import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -55,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..isa.instructions import TraceEntry
-from ..isa.trace_io import entries_from_columns, scalar_notes, trace_columns
+from ..isa.trace_io import entries_from_columns, pack_trace, scalar_notes, unpack_columns
 
 __all__ = [
     "ARENA_PREFIX",
@@ -78,16 +81,6 @@ def arena_enabled() -> bool:
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    """Where one column lives inside a segment: dtype + element span."""
-
-    name: str
-    dtype: str
-    offset: int
-    count: int
-
-
-@dataclass(frozen=True)
 class TraceHandle:
     """Everything a worker needs to rebuild one published trace.
 
@@ -98,7 +91,6 @@ class TraceHandle:
     segment: str
     spec_key: str
     entries: int
-    columns: tuple[ColumnSpec, ...]
     notes: tuple = ()
 
 
@@ -137,6 +129,27 @@ def _sweep_live_segments() -> None:
         _unlink_segment(name)
 
 
+#: packed buffers of recently published traces, by trace identity.  Traces
+#: are immutable post-capture, so republishing the same list object (every
+#: batch after the first on a persistent pool) reuses its buffer instead of
+#: rebuilding the columns.  Each entry holds its trace, so an id cannot be
+#: recycled while cached; sized like the worker-side LRU below.
+_PACKED_TRACE_CAPACITY = 32
+_packed_traces: "OrderedDict[int, tuple[Sequence[TraceEntry], np.ndarray]]" = OrderedDict()
+
+
+def _packed_trace(trace: Sequence[TraceEntry]) -> np.ndarray:
+    cached = _packed_traces.get(id(trace))
+    if cached is not None:
+        _packed_traces.move_to_end(id(trace))
+        return cached[1]
+    packed = pack_trace(trace)
+    _packed_traces[id(trace)] = (trace, packed)
+    while len(_packed_traces) > _PACKED_TRACE_CAPACITY:
+        _packed_traces.popitem(last=False)
+    return packed
+
+
 class TraceArena:
     """One batch's published traces, parent-owned.
 
@@ -166,35 +179,21 @@ class TraceArena:
         handle = self._handles.get(spec_key)
         if handle is not None:
             return handle
-        columns = trace_columns(trace)
-        specs: list[ColumnSpec] = []
-        offset = 0
-        for name, column in columns.items():
-            # 8-byte alignment keeps every frombuffer view itemsize-aligned
-            # no matter which dtypes precede it.
-            offset = (offset + 7) & ~7
-            specs.append(ColumnSpec(name, column.dtype.str, offset, len(column)))
-            offset += column.nbytes
+        packed = _packed_trace(trace)
         segment_name = ARENA_PREFIX + secrets.token_hex(8)
         try:
             segment = shared_memory.SharedMemory(
-                create=True, size=max(1, offset), name=segment_name
+                create=True, size=packed.nbytes, name=segment_name
             )
         except OSError:
             self.dead = True
             return None
         _live_segments[segment_name] = segment
-        for spec, column in zip(specs, columns.values()):
-            view = np.frombuffer(
-                segment.buf, dtype=np.dtype(spec.dtype), count=spec.count,
-                offset=spec.offset,
-            )
-            view[:] = column
+        segment.buf[:packed.nbytes] = packed
         handle = TraceHandle(
             segment=segment_name,
             spec_key=spec_key,
             entries=len(trace),
-            columns=tuple(specs),
             notes=tuple(tuple(pair) for pair in scalar_notes(trace)),
         )
         self._handles[spec_key] = handle
@@ -251,18 +250,15 @@ def _decode_segment(segment: shared_memory.SharedMemory, handle: TraceHandle):
     # non-writability, enforcing post-capture trace immutability.
     buffer = memoryview(segment.buf).toreadonly()
     try:
-        columns = {
-            spec.name: np.frombuffer(
-                buffer, dtype=np.dtype(spec.dtype), count=spec.count,
-                offset=spec.offset,
-            )
-            for spec in handle.columns
-        }
-        return entries_from_columns(columns, handle.entries, handle.notes)
+        # entries_from_columns copies everything out, so the column views
+        # die with this call and the buffer can be released before close().
+        return entries_from_columns(unpack_columns(buffer), handle.entries, handle.notes)
+    except Exception as error:
+        # A failed decode's traceback frames still hold column views; clear
+        # them so the segment can close and the decode error surfaces.
+        traceback.clear_frames(error.__traceback__)
+        raise
     finally:
-        # entries_from_columns copies everything out; drop the exported
-        # views before close() so the mmap can actually release.
-        del columns
         buffer.release()
 
 

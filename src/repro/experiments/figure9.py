@@ -115,11 +115,12 @@ def run_figure9(
     for n, k, m in gemm_sweep:
         mve = runner.run_mve("gemm", scale=1.0, n=n, k=k, m=m)
         gpu = runner.run_gpu("gemm", scale=1.0, n=n, k=k, m=m)
+        profile = runner.profile("gemm", scale=1.0, n=n, k=k, m=m)
         gemm_points.append(
             SweepPoint(
                 kernel="gemm",
                 shape=(n, k, m),
-                flops=mve.kernel.profile().total_ops,
+                flops=profile.total_ops,
                 mve_time_ms=mve.result.time_ms,
                 gpu_time_ms=gpu.time_ms,
             )
@@ -129,11 +130,12 @@ def run_figure9(
     for n, k, m, nnz in spmm_sweep:
         mve = runner.run_mve("spmm", scale=1.0, n=n, k=k, m=m, nnz=nnz)
         gpu = runner.run_gpu("spmm", scale=1.0, n=n, k=k, m=m, nnz=nnz)
+        profile = runner.profile("spmm", scale=1.0, n=n, k=k, m=m, nnz=nnz)
         spmm_points.append(
             SweepPoint(
                 kernel="spmm",
                 shape=(n, k, m, nnz),
-                flops=mve.kernel.profile().total_ops,
+                flops=profile.total_ops,
                 mve_time_ms=mve.result.time_ms,
                 gpu_time_ms=gpu.time_ms,
             )

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from ..baselines.gpu import GPUModel, GPUResult
 from ..baselines.neon import NeonModel, NeonResult
+from ..baselines.profile import KernelProfile
 from ..core.cache import (
     ResultStore,
     code_fingerprint,
@@ -184,6 +185,15 @@ class ExperimentRunner:
             self.job(name, "rvv", scale=scale, config=config, scheme_name=scheme_name, **kernel_kwargs)
         )
 
+    def profile(self, name: str, scale: Optional[float] = None, **kernel_kwargs) -> KernelProfile:
+        """The kernel's ISA-independent work profile.
+
+        ``prepare()`` alone determines it, so no lowering runs: reading a
+        profile never captures or simulates anything.
+        """
+        scale = scale if scale is not None else self.default_scale
+        return self._get_kernel(name, scale, **kernel_kwargs).profile()
+
     # -- baseline models (persistent-cached like the simulator jobs) ------ #
 
     def _baseline_key(
@@ -232,9 +242,7 @@ class ExperimentRunner:
         return self._baseline_run(
             key,
             NeonResult,
-            lambda: NeonModel(config).run(
-                self._get_kernel(name, scale, **kernel_kwargs).profile()
-            ),
+            lambda: NeonModel(config).run(self.profile(name, scale, **kernel_kwargs)),
         )
 
     def run_gpu(
@@ -254,7 +262,7 @@ class ExperimentRunner:
             key,
             GPUResult,
             lambda: GPUModel().run(
-                self._get_kernel(name, scale, **kernel_kwargs).profile(),
+                self.profile(name, scale, **kernel_kwargs),
                 include_transfer=include_transfer,
             ),
         )

@@ -121,10 +121,10 @@ class KernelJob:
         # describing the same simulation would hash to different cache keys.
         if self.config.scheme_name != self.scheme_name:
             object.__setattr__(self, "config", self.config.with_scheme(self.scheme_name))
-
-    def cache_key(self) -> str:
-        """Content hash identifying this job's result in the persistent store."""
-        return stable_hash(
+        # A job is immutable and the code fingerprint is fixed per process,
+        # so the key is hashed once: store lookups and writes ask for it on
+        # every batch.
+        key = stable_hash(
             {
                 "fingerprint": code_fingerprint(),
                 "kernel": self.kernel,
@@ -135,6 +135,11 @@ class KernelJob:
                 "config": config_digest(self.config),
             }
         )
+        object.__setattr__(self, "_cache_key", key)
+
+    def cache_key(self) -> str:
+        """Content hash identifying this job's result in the persistent store."""
+        return self._cache_key
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in self.kwargs)

@@ -34,6 +34,7 @@ from ..isa.instructions import (
     ScalarBlock,
     TraceEntry,
 )
+from ..isa.mask import DimMask
 from ..isa.registers import ControlRegisters, VectorShape
 from ..memory.flatmem import FlatMemory
 from .mdv import MDV
@@ -139,9 +140,6 @@ class MVEMachine:
     def _shape(self) -> VectorShape:
         return self.cr.shape
 
-    def _mask_tuple(self) -> tuple[bool, ...]:
-        return tuple(self.cr.active_mask())
-
     def _check_shape_fits(self, shape: VectorShape) -> None:
         if shape.total_elements > self.simd_lanes:
             raise ValueError(
@@ -238,11 +236,9 @@ class MVEMachine:
             addresses += base_address
         return addresses, strides
 
-    def _active_lane_mask(self, shape: VectorShape) -> np.ndarray:
-        mask_bits = np.asarray(self.cr.active_mask(), dtype=bool)
+    def _active_lane_mask(self, shape: VectorShape, mask: DimMask) -> np.ndarray:
         inner = shape.total_elements // shape.highest_dim_length
-        lane_high_index = np.arange(shape.total_elements) // inner
-        return mask_bits[lane_high_index]
+        return np.repeat(mask.lanes(), inner)
 
     # ------------------------------------------------------------------ #
     # memory access instructions
@@ -285,9 +281,10 @@ class MVEMachine:
         addresses, strides = self._element_addresses(
             dtype, base_address, stride_modes, is_store=False, random_bases=random_bases
         )
-        lane_mask = self._active_lane_mask(shape)
+        mask = self.cr.mask_snapshot()
         values = np.zeros(shape.total_elements, dtype=dtype.numpy_dtype)
-        if self.record_values and lane_mask.any():
+        if self.record_values and mask.count:
+            lane_mask = self._active_lane_mask(shape, mask)
             values[lane_mask] = self.memory.read_elements(addresses[lane_mask], dtype)
 
         register = self._new_register()
@@ -304,7 +301,7 @@ class MVEMachine:
                 random_bases=random_base_tuple,
                 resolved_strides=tuple(strides),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=mask,
             )
         )
         return MDV(register, dtype, shape, values)
@@ -329,8 +326,9 @@ class MVEMachine:
         addresses, strides = self._element_addresses(
             dtype, base_address, stride_modes, is_store=True, random_bases=random_bases
         )
-        lane_mask = self._active_lane_mask(shape)
-        if self.record_values and lane_mask.any():
+        mask = self.cr.mask_snapshot()
+        if self.record_values and mask.count:
+            lane_mask = self._active_lane_mask(shape, mask)
             stored = self._conform(value, shape)
             self.memory.write_elements(addresses[lane_mask], stored[lane_mask], dtype)
 
@@ -347,7 +345,7 @@ class MVEMachine:
                 random_bases=random_base_tuple,
                 resolved_strides=tuple(strides),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=mask,
             )
         )
 
@@ -401,7 +399,7 @@ class MVEMachine:
                 sources=(),
                 immediate=float(value),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=self.cr.mask_snapshot(),
             )
         )
         return MDV(register, dtype, shape, values)
@@ -445,7 +443,7 @@ class MVEMachine:
                 dest=register,
                 sources=(a.register, b.register),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=self.cr.mask_snapshot(),
             )
         )
         return MDV(register, dtype, shape, values)
@@ -474,7 +472,7 @@ class MVEMachine:
                 sources=(a.register,),
                 immediate=float(immediate),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=self.cr.mask_snapshot(),
             )
         )
         return MDV(register, dtype, shape, values)

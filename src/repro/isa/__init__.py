@@ -2,6 +2,7 @@
 
 from .datatypes import DataType, DTypeInfo, DTYPE_INFO, parse_suffix
 from .encoding import StrideMode, resolve_strides, MAX_DIMS
+from .mask import DimMask
 from .registers import (
     ControlRegisters,
     PhysicalRegisterFile,
@@ -32,6 +33,7 @@ __all__ = [
     "PhysicalRegisterFile",
     "VectorShape",
     "MAX_MASK_ELEMENTS",
+    "DimMask",
     "ArithmeticInstruction",
     "ConfigInstruction",
     "InstructionCategory",

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .datatypes import DataType
 from .encoding import StrideMode
+from .mask import DimMask
 
 __all__ = [
     "InstructionCategory",
@@ -168,7 +169,7 @@ class MemoryInstruction(MVEInstruction):
     #: snapshot of the logical shape at emission time
     shape_lengths: tuple[int, ...] = ()
     #: snapshot of the highest-dimension mask at emission time
-    mask: tuple[bool, ...] = ()
+    mask: DimMask = DimMask.EMPTY
     #: set by the register allocator for spill/fill traffic it inserts
     is_spill: bool = False
 
@@ -183,12 +184,7 @@ class MemoryInstruction(MVEInstruction):
         """Number of elements actually transferred after dimension masking."""
         if not self.shape_lengths:
             return 0
-        inner = 1
-        for length in self.shape_lengths[:-1]:
-            inner *= length
-        if not self.mask:
-            return self.total_elements
-        return inner * sum(self.mask)
+        return self.mask.active_elements(self.shape_lengths)
 
     def assembly(self) -> str:
         modes = ",".join(str(int(m)) for m in self.stride_modes)
@@ -208,7 +204,7 @@ class ArithmeticInstruction(MVEInstruction):
     immediate: Optional[float] = None
     #: snapshot of the logical shape at emission time (for utilization stats)
     shape_lengths: tuple[int, ...] = ()
-    mask: tuple[bool, ...] = ()
+    mask: DimMask = DimMask.EMPTY
 
     def assembly(self) -> str:
         srcs = ", ".join(f"v{s}" for s in self.sources)

@@ -16,11 +16,12 @@ flattens logical indices onto the SIMD lanes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .encoding import MAX_DIMS
+from .mask import DimMask
 
 __all__ = [
     "VectorShape",
@@ -139,6 +140,10 @@ class ControlRegisters:
     element_bits: int = 32
     #: one mask bit per element of the highest dimension; True = enabled
     dim_mask: list[bool] = field(default_factory=lambda: [True] * MAX_MASK_ELEMENTS)
+    #: last :meth:`mask_snapshot`, keyed by the state it was built from
+    _snapshot: Optional[tuple[tuple, DimMask]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def set_dim_count(self, count: int) -> None:
         if not 1 <= count <= MAX_DIMS:
@@ -178,6 +183,32 @@ class ControlRegisters:
     def shape(self) -> VectorShape:
         return VectorShape(tuple(self.dim_lengths[: self.dim_count]))
 
+    def _mask_groups(self) -> tuple[int, int, int]:
+        """``(length, group, groups)``: the highest-dimension length, the
+        elements each mask bit covers and the number of mask bits in use."""
+        length = self.dim_lengths[self.dim_count - 1]
+        if length <= MAX_MASK_ELEMENTS:
+            return length, 1, length
+        group = (length + MAX_MASK_ELEMENTS - 1) // MAX_MASK_ELEMENTS
+        return length, group, (length + group - 1) // group
+
+    def mask_snapshot(self) -> DimMask:
+        """The active mask as the packed value a vector instruction records.
+
+        Expands the ``groups`` mask bits in use with numpy; consecutive
+        instructions under an unchanged mask share one snapshot object.
+        """
+        length, group, groups = self._mask_groups()
+        key = (length, tuple(self.dim_mask[:groups]))
+        if self._snapshot is not None and self._snapshot[0] == key:
+            return self._snapshot[1]
+        bits = np.asarray(key[1], dtype=bool)
+        if group > 1:
+            bits = np.repeat(bits, group)[:length]
+        mask = DimMask.from_lanes(bits)
+        self._snapshot = (key, mask)
+        return mask
+
     def active_mask(self) -> list[bool]:
         """Mask bits for the configured highest dimension.
 
@@ -186,11 +217,9 @@ class ControlRegisters:
         contiguous group of elements (coarser masking granularity), which is
         how the controller keeps the CR size bounded.
         """
-        length = self.shape.highest_dim_length
-        if length <= MAX_MASK_ELEMENTS:
+        length, group, groups = self._mask_groups()
+        if group == 1:
             return self.dim_mask[:length]
-        group = (length + MAX_MASK_ELEMENTS - 1) // MAX_MASK_ELEMENTS
-        groups = (length + group - 1) // group
         expanded = np.repeat(np.asarray(self.dim_mask[:groups], dtype=bool), group)
         return expanded[:length].tolist()
 

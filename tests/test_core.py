@@ -24,6 +24,7 @@ from repro.intrinsics import MVEMachine
 from repro.isa import (
     ArithmeticInstruction,
     DataType,
+    DimMask,
     MemoryInstruction,
     Opcode,
     ScalarBlock,
@@ -42,7 +43,7 @@ def make_memory_instruction(**overrides):
         is_random=False,
         resolved_strides=(1, 4),
         shape_lengths=(4, 3),
-        mask=(True, True, True),
+        mask=DimMask.from_lanes((True, True, True)),
     )
     defaults.update(overrides)
     return MemoryInstruction(Opcode.STRIDED_LOAD, **defaults)
@@ -58,7 +59,7 @@ class TestAddressGeneration:
         assert addresses[4] == 0x1000 + 16     # dim1 stride 4 elements
 
     def test_element_addresses_masked(self):
-        instr = make_memory_instruction(mask=(True, False, True))
+        instr = make_memory_instruction(mask=DimMask.from_lanes((True, False, True)))
         assert element_addresses(instr).size == 8
 
     def test_element_addresses_random(self):
@@ -73,7 +74,7 @@ class TestAddressGeneration:
         assert addresses[8] == 0x7000
 
     def test_cache_lines_deduplicated(self):
-        instr = make_memory_instruction(shape_lengths=(16,), mask=(True,) * 16,
+        instr = make_memory_instruction(shape_lengths=(16,), mask=DimMask.from_lanes((True,) * 16),
                                          stride_modes=(1,), resolved_strides=(1,))
         lines = cache_line_addresses(instr, line_bytes=64)
         assert lines.size == 1
@@ -88,7 +89,7 @@ class TestAddressGeneration:
     def test_address_range_random(self):
         instr = make_memory_instruction(
             is_random=True, random_bases=(0x5000, 0x9000), shape_lengths=(4, 2),
-            mask=(True, True), resolved_strides=(1, 0),
+            mask=DimMask.from_lanes((True, True)), resolved_strides=(1, 0),
         )
         low, high = address_range(instr)
         assert low == 0x5000 and high > 0x9000
@@ -138,7 +139,7 @@ class TestControllerModel:
     def test_placement_full_register(self):
         controller = self.make()
         instr = ArithmeticInstruction(Opcode.ADD, dtype=DataType.INT32,
-                                      shape_lengths=(8192,), mask=())
+                                      shape_lengths=(8192,), mask=DimMask.EMPTY)
         placement = controller.placement(instr, 32)
         assert placement.active_elements == 8192
         assert placement.lane_utilization == 1.0
@@ -148,7 +149,7 @@ class TestControllerModel:
     def test_placement_partial_register(self):
         controller = self.make()
         instr = ArithmeticInstruction(Opcode.ADD, dtype=DataType.INT32,
-                                      shape_lengths=(128,), mask=())
+                                      shape_lengths=(128,), mask=DimMask.EMPTY)
         placement = controller.placement(instr, 32)
         assert placement.lane_utilization == pytest.approx(128 / 8192)
         assert placement.active_control_blocks == 1
@@ -156,30 +157,30 @@ class TestControllerModel:
     def test_placement_masked_dimension(self):
         controller = self.make()
         instr = ArithmeticInstruction(Opcode.ADD, dtype=DataType.INT32,
-                                      shape_lengths=(64, 4), mask=(True, False, True, False))
+                                      shape_lengths=(64, 4), mask=DimMask.from_lanes((True, False, True, False)))
         placement = controller.placement(instr, 32)
         assert placement.active_elements == 128
 
     def test_bit_parallel_needs_repeats(self):
         controller = self.make(scheme=BitParallelScheme())
         instr = ArithmeticInstruction(Opcode.ADD, dtype=DataType.INT32,
-                                      shape_lengths=(8192,), mask=())
+                                      shape_lengths=(8192,), mask=DimMask.EMPTY)
         placement = controller.placement(instr, 32)
         assert placement.repeats == 32
 
     def test_compute_cycles_follow_scheme(self):
         controller = self.make()
         add = ArithmeticInstruction(Opcode.ADD, dtype=DataType.INT32,
-                                    shape_lengths=(8192,), mask=())
+                                    shape_lengths=(8192,), mask=DimMask.EMPTY)
         mul = ArithmeticInstruction(Opcode.MUL, dtype=DataType.INT32,
-                                    shape_lengths=(8192,), mask=())
+                                    shape_lengths=(8192,), mask=DimMask.EMPTY)
         assert controller.compute_sram_cycles(add, 32, 1.5) == 32
         assert controller.compute_sram_cycles(mul, 32, 1.5) == 32 * 32 + 5 * 32
 
     def test_float_factor_applied(self):
         controller = self.make()
         fadd = ArithmeticInstruction(Opcode.ADD, dtype=DataType.FLOAT32,
-                                     shape_lengths=(8192,), mask=())
+                                     shape_lengths=(8192,), mask=DimMask.EMPTY)
         assert controller.compute_sram_cycles(fadd, 32, 2.0) == 64
 
 

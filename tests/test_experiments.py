@@ -106,6 +106,47 @@ class TestFigure8And9:
         # The small problem must favour MVE (GPU launch overhead dominates).
         assert result.gemm_points[0].mve_wins
 
+    def test_figure9_trace_warm_assembly_never_captures(self, tmp_path, monkeypatch):
+        """With traces in the store and results cold, figure9 replays and
+        reads its FLOP counts from kernel profiles: no lowering re-runs."""
+        from repro.core.cache import ResultStore
+        from repro.core.traces import TraceSpec
+        from repro.workloads.base import Kernel
+
+        sweeps = dict(
+            gemm_sweep=((16, 16, 16), (32, 32, 32)), spmm_sweep=((16, 32, 16, 4),)
+        )
+        cold = run_figure9(ExperimentRunner(store=ResultStore(tmp_path)), **sweeps)
+
+        trace_keys = set()
+        for n, k, m in sweeps["gemm_sweep"]:
+            spec = TraceSpec("gemm", scale=1.0, kwargs=(("k", k), ("m", m), ("n", n)))
+            trace_keys.add(spec.cache_key())
+        for n, k, m, nnz in sweeps["spmm_sweep"]:
+            spec = TraceSpec(
+                "spmm", scale=1.0, kwargs=(("k", k), ("m", m), ("n", n), ("nnz", nnz))
+            )
+            trace_keys.add(spec.cache_key())
+        stored = {path.stem: path for path in tmp_path.glob("*/*.json")}
+        assert trace_keys <= set(stored)
+        for key, path in stored.items():
+            if key not in trace_keys:
+                path.unlink()
+
+        captures = []
+        real_capture = Kernel.capture
+
+        def counting_capture(self, *args, **kwargs):
+            captures.append(self.name)
+            return real_capture(self, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "capture", counting_capture)
+        runner = ExperimentRunner(store=ResultStore(tmp_path))
+        warm = run_figure9(runner, **sweeps)
+        assert captures == []
+        assert runner.engine.computed == 3
+        assert warm == cold
+
 
 class TestFigure10And11:
     @pytest.fixture(scope="class")

@@ -103,7 +103,7 @@ class TestEndToEndWorkloads:
         masked_stores = [
             e
             for e in trace
-            if isinstance(e, MemoryInstruction) and e.mask and not all(e.mask)
+            if isinstance(e, MemoryInstruction) and e.mask and not all(e.mask.lanes())
         ]
         assert masked_stores, "the reduction pattern should use dimension-level masks"
         for store in masked_stores:

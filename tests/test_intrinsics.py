@@ -6,6 +6,7 @@ import pytest
 from repro.intrinsics import MDV, MVEMachine
 from repro.isa import (
     DataType,
+    DimMask,
     InstructionCategory,
     MemoryInstruction,
     Opcode,
@@ -193,7 +194,7 @@ class TestMasking:
         machine.vunsetmask(0)
         machine.vsld(DataType.INT32, data.address, (1, 2))
         instr = machine.trace[-1]
-        assert instr.mask == (False, True)
+        assert instr.mask == DimMask.from_lanes((False, True))
         assert instr.active_elements() == 4
 
     def test_reset_mask(self, machine):

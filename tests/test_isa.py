@@ -9,6 +9,7 @@ from repro.isa import (
     ConfigInstruction,
     ControlRegisters,
     DataType,
+    DimMask,
     InstructionCategory,
     MemoryInstruction,
     MoveInstruction,
@@ -206,7 +207,7 @@ class TestInstructions:
         instr = MemoryInstruction(
             Opcode.STRIDED_LOAD,
             shape_lengths=(4, 3),
-            mask=(True, False, True),
+            mask=DimMask.from_lanes((True, False, True)),
         )
         assert instr.total_elements == 12
         assert instr.active_elements() == 8

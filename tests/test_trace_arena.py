@@ -21,6 +21,7 @@ persistent :class:`~repro.experiments.adapters.LocalPoolAdapter`:
   compile memo warm.
 """
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -144,6 +145,27 @@ class TestTraceArena:
             before = compile_cache_info()["hits"]
             assert compile_trace_cached(ta.attached_trace(handle)) is compiled
             assert compile_cache_info()["hits"] == before + 1
+        finally:
+            arena.close()
+        assert_no_shm_leaks()
+
+    @pytest.mark.parametrize("corruption", ["header-json", "header-length", "entry-count"])
+    def test_corrupt_segment_raises_the_decode_error(self, csum_trace, corruption):
+        """A segment that fails to decode surfaces its ValueError (not an
+        error from the cleanup path) and leaves the segment closable."""
+        arena = ta.TraceArena()
+        try:
+            handle = arena.publish("spec-a", csum_trace)
+            buf = ta._live_segments[handle.segment].buf
+            if corruption == "header-json":
+                buf[4:8] = b"!!!!"
+            elif corruption == "header-length":
+                buf[0:4] = (1 << 24).to_bytes(4, "little")
+            else:
+                handle = dataclasses.replace(handle, entries=handle.entries + 1)
+            with pytest.raises(ValueError):
+                ta.attached_trace(handle)
+            assert ta.attached_trace_cache_len() == 0
         finally:
             arena.close()
         assert_no_shm_leaks()

@@ -32,7 +32,13 @@ from repro.experiments.sweep import (
     execute_job,
 )
 from repro.isa.instructions import ScalarBlock
-from repro.isa.trace_io import decode_trace, encode_trace
+from repro.isa.trace_io import (
+    decode_trace,
+    encode_trace,
+    trace_columnar_bytes,
+    trace_columns,
+    trace_payload_bytes,
+)
 from repro.sram.schemes import SCHEME_NAMES, get_scheme
 from repro.workloads import get_kernel_class
 
@@ -90,6 +96,24 @@ class TestColumnarCodec:
     def test_rejects_foreign_payloads(self):
         with pytest.raises(ValueError):
             decode_trace({"codec": "something-else", "entries": 0})
+
+    @pytest.mark.parametrize(
+        "spec, v1_payload_bytes, v1_columnar_bytes",
+        [
+            (TraceSpec("memcpy", "mve", 0.5), 4806, 134606),
+            (TraceSpec("gemm", "mve", 0.5), 7716, 74114),
+        ],
+        ids=["memcpy", "gemm"],
+    )
+    def test_trace_bytes_at_most_a_third_of_v1(
+        self, spec, v1_payload_bytes, v1_columnar_bytes
+    ):
+        """Deterministic size gate for packed masks: the v1 codec (one int
+        per mask element, one npz member per column) needed the bytes
+        pinned here; v2 must stay within a third of them."""
+        trace = spec.capture().trace
+        assert trace_payload_bytes(encode_trace(trace)) <= v1_payload_bytes // 3
+        assert trace_columnar_bytes(trace_columns(trace)) <= v1_columnar_bytes // 3
 
     def test_artifact_payload_roundtrip(self, tmp_path):
         """The TraceStore record round-trips through an actual ResultStore."""
