@@ -1,13 +1,16 @@
-"""Config-batched trace replay: one pass over a trace, many configs out.
+"""Decomposed trace replay: one pass over a trace, many configs out.
 
-The staged pipeline (PR 5) froze the captured instruction stream, which makes
+The staged pipeline froze the captured instruction stream, which makes
 every timing model a pure function of the machine configuration.  This module
 exploits that purity: :func:`simulate_trace_batch` replays one trace for a
 whole *axis* of configurations, sharing every piece of work that does not
 depend on the axis instead of walking the configs one at a time through
-:func:`~repro.core.simulator.simulate_trace`.
+:meth:`~repro.core.simulator.MVESimulator.run`.  One configuration is a
+batch of one: :func:`~repro.core.simulator.simulate_trace` delegates here,
+and :func:`~repro.core.simulator.simulate_kernel` replays its freshly
+compiled trace through :func:`replay_compiled`.
 
-The decomposition leans on three invariants of the timing models:
+The decomposition leans on four invariants of the timing models:
 
 * **Cache and DRAM state evolution is timing-independent.**  Which lines hit,
   which victims are evicted and which DRAM rows are open depend only on the
@@ -16,6 +19,13 @@ The decomposition leans on three invariants of the timing models:
   those replay one hierarchy; configs differing only in DRAM *timing*
   additionally share the row-buffer classification
   (:meth:`~repro.memory.dram.DRAMModel.classify_batch`) and only re-price it.
+* **Memory state is a function of the ordered line stream.**  Replay never
+  fills the L1 or sets a presence bit, L2 state never depends on the LLC and
+  LLC state never on the DRAM.  So the memory pass resolves each level over
+  a chunk of the trace's line stream (warm-up run, then measured run) at
+  once -- chunk to the L2, its L2 misses to the LLC, the LLC misses to the
+  DRAM classifier -- and reads per-instruction counts and cycles back from
+  where each instruction's lines sit in the chunk.
 * **Placement and SRAM latencies are stateless.**  Per-instruction lane/CB
   placement, compute latencies and TMU fill/drain cycles are pure functions
   of (scheme, engine geometry, instruction), so one pass per distinct
@@ -26,12 +36,14 @@ The decomposition leans on three invariants of the timing models:
 
 Float accumulation order is replicated exactly (energy sums, utilization
 weights, the timeline recurrence), so results are **bit-identical** to the
-per-config path.  The ``REPRO_BATCHED_REPLAY=0`` environment switch pins
-that: it routes every caller through per-config :func:`simulate_trace`, the
-same way ``REPRO_SCALAR_CACHE=1`` pins the vectorized cache engine to its
-scalar reference.  (When the scalar cache reference *is* selected, batching
-is disabled as well: the scalar path stays the executable specification,
-end to end.)
+per-config reference.  The ``REPRO_BATCHED_REPLAY=0`` environment switch
+pins that: it routes every replay, single-config or batched, through the
+per-config :func:`~repro.core.simulator.run_reference`
+(:class:`~repro.core.simulator.MVESimulator`), the same way
+``REPRO_SCALAR_CACHE=1`` pins the vectorized cache engine to its scalar
+reference.  (When the scalar cache reference *is* selected, the decomposed
+replay is disabled as well: the scalar path stays the executable
+specification, end to end.)
 
 Axes that batch together: compute scheme, SRAM-cycle/float-latency knobs,
 cache geometry, ``l2_compute_ways``, DRAM structure and timing, TMU and
@@ -59,7 +71,7 @@ from ..isa.instructions import (
     TraceEntry,
 )
 from ..isa.registers import PhysicalRegisterFile
-from ..memory.cache import make_hierarchy, use_scalar_cache
+from ..memory.cache import aggregate_block_cycles, make_hierarchy, use_scalar_cache
 from ..memory.dram import DRAMConfig, DRAMModel
 from ..sram.schemes import ComputeScheme, get_scheme
 from ..sram.tmu import TransposeMemoryUnit
@@ -72,6 +84,7 @@ from .results import SimulationResult
 __all__ = [
     "BATCHED_REPLAY_ENV",
     "batched_replay_enabled",
+    "replay_compiled",
     "replay_group_key",
     "simulate_trace_batch",
 ]
@@ -82,12 +95,12 @@ BATCHED_REPLAY_ENV = "REPRO_BATCHED_REPLAY"
 
 
 def batched_replay_enabled() -> bool:
-    """True when multi-config replays may share one batched pass.
+    """True when replays go through the decomposed engine of this module.
 
     ``REPRO_BATCHED_REPLAY=0`` disables batching explicitly;
     ``REPRO_SCALAR_CACHE=1`` disables it implicitly, because the scalar
     cache reference is meant to be the end-to-end executable specification
-    and therefore always runs the plain per-config loop.
+    and therefore always runs the per-config reference simulator.
     """
     if os.environ.get(BATCHED_REPLAY_ENV, "") == "0":
         return False
@@ -178,8 +191,14 @@ class _StaticTrace:
 
 
 # --------------------------------------------------------------------- #
-#  Memory pass: one hierarchy replay per cache/DRAM-structure key
+#  Memory pass: one chunked stream replay per cache/DRAM-structure key
 # --------------------------------------------------------------------- #
+
+#: lines per stream chunk of the memory pass; chunks are whole instructions
+#: (an instruction larger than this is a chunk of its own).  Bounds the
+#: pass's transient arrays while keeping enough lines per cache call to
+#: amortize numpy's per-call overhead.
+STREAM_CHUNK_LINES = 8192
 
 
 class _MemoryPass:
@@ -200,6 +219,21 @@ class _MemoryPass:
         self.l2_hit_rate: float = 0.0
 
 
+def _stream_chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Split a stream of instructions (``sizes`` lines each) into
+    ``[begin, end)`` runs of whole instructions of about
+    :data:`STREAM_CHUNK_LINES` lines."""
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    chunks = []
+    begin = 0
+    while begin < sizes.size:
+        end = int(np.searchsorted(bounds, bounds[begin] + STREAM_CHUNK_LINES, side="right")) - 1
+        end = max(end, begin + 1)
+        chunks.append((begin, end))
+        begin = end
+    return chunks
+
+
 def _run_memory_pass(
     static: _StaticTrace,
     hierarchy_config,
@@ -208,102 +242,96 @@ def _run_memory_pass(
     warm_cache: bool,
 ) -> _MemoryPass:
     """Replay the memory footprint stream once, pricing every DRAM timing
-    variant; mirrors :meth:`MVESimulator._memory_duration` state-wise."""
+    variant; state-wise the same as :meth:`MVESimulator._memory_duration`
+    per instruction (after a warm-up run when ``warm_cache``).
+
+    The replay path never fills the L1 or sets a presence bit, the L2 never
+    depends on the LLC and the LLC never on the DRAM, so each level is
+    resolved over a chunk of the ordered line stream at once: the chunk's
+    lines go to the L2, its L2 misses to the LLC and the LLC misses to the
+    DRAM row-buffer classifier.  Per-instruction counts and cycles are then
+    read back from where each instruction's lines sit in the chunk.
+    """
     hierarchy = make_hierarchy(
         hierarchy_config, l2_compute_ways=l2_compute_ways, scalar=False
     )
-    lines_per_instruction = static.lines_for(hierarchy.line_bytes)
-    if warm_cache:
-        for instruction, lines in zip(static.memory_instructions, lines_per_instruction):
-            hierarchy.vector_block_access(lines, instruction.is_store)
-        hierarchy.reset_stats()
+    line_bytes = hierarchy.line_bytes
+    inclusive = hierarchy.config.l2.inclusive
+    mshr_entries = hierarchy.config.l2.mshr_entries
+    l2_hit_latency = hierarchy.config.l2.hit_latency
+    base_miss_latency = l2_hit_latency + hierarchy.config.llc.hit_latency
+    lines_per_cycle = hierarchy.VECTOR_LINES_PER_CYCLE
+    pricing_models = [DRAMModel(variant) for variant in dram_variants]
+
+    footprints = static.lines_for(line_bytes)
+    count = len(footprints)
+    replays = 2 if warm_cache else 1
+    # The stream: every memory instruction's lines in trace order, once per
+    # replay; only the last replay is recorded.
+    sizes = np.tile(
+        np.fromiter((lines.size for lines in footprints), dtype=np.int64, count=count),
+        replays,
+    )
+    stores = np.tile(
+        np.fromiter(
+            (instruction.is_store for instruction in static.memory_instructions),
+            dtype=bool,
+            count=count,
+        ),
+        replays,
+    )
+    recorded = (replays - 1) * count
 
     result = _MemoryPass()
     for variant in dram_variants:
         result.cycles[variant] = []
-    if len(dram_variants) == 1:
-        _record_single_variant(static, hierarchy, lines_per_instruction, result)
-    else:
-        _record_multi_variant(
-            static, hierarchy, lines_per_instruction, dram_variants, result
-        )
-    result.dram_bytes = hierarchy.dram.stats.bytes_transferred
-    result.l2_hit_rate = hierarchy.l2.stats.hit_rate()
-    return result
+    for begin, end in _stream_chunks(sizes):
+        chunk_sizes = sizes[begin:end]
+        lines = np.concatenate([footprints[i % count] for i in range(begin, end)])
+        owner = np.repeat(np.arange(end - begin), chunk_sizes)
+        writes = np.repeat(stores[begin:end], chunk_sizes)
 
-
-def _record_single_variant(static, hierarchy, lines_per_instruction, result) -> None:
-    """One timing variant: drive the hierarchy's own block-access path and
-    read the stat deltas around it, exactly like the per-config simulator."""
-    cycles = result.cycles[next(iter(result.cycles))]
-    for instruction, lines in zip(static.memory_instructions, lines_per_instruction):
-        l2_before = hierarchy.l2.stats.hits
-        llc_before = hierarchy.llc.stats.hits
-        dram_before = hierarchy.dram.stats.reads + hierarchy.dram.stats.writes
-        cycles.append(hierarchy.vector_block_access(lines, instruction.is_store))
-        result.l2_hits.append(hierarchy.l2.stats.hits - l2_before)
-        result.llc_hits.append(hierarchy.llc.stats.hits - llc_before)
-        result.dram_accesses.append(
-            hierarchy.dram.stats.reads + hierarchy.dram.stats.writes - dram_before
-        )
-
-
-def _record_multi_variant(
-    static, hierarchy, lines_per_instruction, dram_variants, result
-) -> None:
-    """Several timing variants: replay cache/DRAM state once and re-price the
-    miss latencies per variant.  This is an exact unrolling of
-    :meth:`VectorCacheHierarchy.vector_block_access` with the DRAM latency
-    lookup vectorized over the variant axis."""
-    from ..memory.cache import aggregate_block_cycles, dedup_lines
-
-    inclusive = hierarchy.config.l2.inclusive
-    mshr_entries = hierarchy.config.l2.mshr_entries
-    l2_hit_latency = hierarchy.config.l2.hit_latency
-    base_miss_latency = hierarchy.config.l2.hit_latency + hierarchy.config.llc.hit_latency
-    line_bytes = hierarchy.line_bytes
-    lines_per_cycle = hierarchy.VECTOR_LINES_PER_CYCLE
-    pricing_models = [DRAMModel(variant) for variant in dram_variants]
-
-    for instruction, raw_lines in zip(static.memory_instructions, lines_per_instruction):
-        is_write = instruction.is_store
-        lines = dedup_lines(raw_lines)
-        if lines.size == 0:
-            for variant in dram_variants:
-                result.cycles[variant].append(0)
-            result.l2_hits.append(0)
-            result.llc_hits.append(0)
-            result.dram_accesses.append(0)
-            continue
-        l2_mask = hierarchy.l2.access_batch(
-            lines, is_write, clear_presence=True, collect_evictions=inclusive
+        l2_hit = hierarchy.l2.access_batch(
+            lines, writes, clear_presence=True, collect_evictions=inclusive
         )
         if inclusive:
             evicted = hierarchy.l2.take_evictions()
             if evicted.size:
                 hierarchy.l1d.invalidate_batch(evicted)
-        hit_count = int(l2_mask.sum())
-        miss_lines = lines[~l2_mask]
-        llc_hit_count = 0
-        dram_count = 0
-        if miss_lines.size:
-            llc_mask = hierarchy.llc.access_batch(miss_lines, is_write)
-            llc_hit_count = int(llc_mask.sum())
-            dram_lines = miss_lines[~llc_mask]
-            row_hit = None
-            if dram_lines.size:
-                row_hit = hierarchy.dram.classify_batch(dram_lines, is_write, line_bytes)
-                dram_count = int(dram_lines.size)
-            for variant, model in zip(dram_variants, pricing_models):
-                latencies = np.full(miss_lines.size, base_miss_latency, dtype=np.int64)
-                if row_hit is not None:
-                    latencies[~llc_mask] += model.latencies_from_classification(
-                        row_hit, line_bytes
-                    )
-                miss_latencies = latencies.tolist()
-                result.cycles[variant].append(
+        l2_miss = ~l2_hit
+        miss_lines = lines[l2_miss]
+        miss_owner = owner[l2_miss]
+        miss_writes = writes[l2_miss]
+        llc_hit = hierarchy.llc.access_batch(miss_lines, miss_writes)
+        to_dram = ~llc_hit
+        row_hit = hierarchy.dram.classify_batch(
+            miss_lines[to_dram], miss_writes[to_dram], line_bytes
+        )
+        if end <= recorded:
+            continue
+
+        # Record the chunk's instructions of the last replay.
+        first = max(begin, recorded) - begin
+        width = end - begin
+        l2_hits = np.bincount(owner[l2_hit], minlength=width).tolist()
+        llc_hits = np.bincount(miss_owner[llc_hit], minlength=width).tolist()
+        dram_accesses = np.bincount(miss_owner[to_dram], minlength=width).tolist()
+        result.l2_hits.extend(l2_hits[first:])
+        result.llc_hits.extend(llc_hits[first:])
+        result.dram_accesses.extend(dram_accesses[first:])
+        # the chunk's L2 misses are in stream order, so each instruction's
+        # misses are one contiguous run of them
+        miss_bounds = np.concatenate(([0], np.cumsum(chunk_sizes) - np.cumsum(l2_hits))).tolist()
+        for variant, model in zip(dram_variants, pricing_models):
+            latencies = np.full(miss_lines.size, base_miss_latency, dtype=np.int64)
+            latencies[to_dram] += model.latencies_from_classification(row_hit, line_bytes)
+            latencies = latencies.tolist()
+            cycles = result.cycles[variant]
+            for position in range(first, width):
+                miss_latencies = latencies[miss_bounds[position] : miss_bounds[position + 1]]
+                cycles.append(
                     aggregate_block_cycles(
-                        hit_count,
+                        l2_hits[position],
                         miss_latencies,
                         mshr_entries,
                         l2_hit_latency,
@@ -311,21 +339,11 @@ def _record_multi_variant(
                         lines_per_cycle,
                     )
                 )
-        else:
-            for variant, model in zip(dram_variants, pricing_models):
-                result.cycles[variant].append(
-                    aggregate_block_cycles(
-                        hit_count,
-                        [],
-                        mshr_entries,
-                        l2_hit_latency,
-                        model.bandwidth_cycles(0),
-                        lines_per_cycle,
-                    )
-                )
-        result.l2_hits.append(hit_count)
-        result.llc_hits.append(llc_hit_count)
-        result.dram_accesses.append(dram_count)
+
+    accesses = int(sizes[recorded:].sum())
+    result.dram_bytes = sum(result.dram_accesses) * line_bytes
+    result.l2_hit_rate = sum(result.l2_hits) / accesses if accesses else 0.0
+    return result
 
 
 def _memory_data_energy(
@@ -554,14 +572,14 @@ def _memory_key(config: MachineConfig) -> tuple:
 
 
 def _replay_compiled_batch(
-    compiled: CompiledKernel,
+    trace: Sequence[TraceEntry],
     members: list[tuple[int, MachineConfig, ComputeScheme]],
     warm_cache: bool,
 ) -> dict[int, SimulationResult]:
-    """Replay one compiled kernel for every member config, sharing the
+    """Replay one compiled trace for every member config, sharing the
     memory and compute passes across the axis."""
     coefficients = EnergyCoefficients()
-    static = _StaticTrace(compiled.trace, coefficients)
+    static = _StaticTrace(trace, coefficients)
 
     # Memory passes: one hierarchy replay per cache/DRAM-structure key, with
     # DRAM-timing variants priced inside the same pass.
@@ -640,6 +658,36 @@ def _replay_compiled_batch(
     return results
 
 
+def _replay_members(
+    trace: Sequence[TraceEntry],
+    members: list[tuple[int, MachineConfig, ComputeScheme]],
+    warm_cache: bool,
+) -> dict[int, SimulationResult]:
+    """Replay one compiled trace for every member config: the decomposed
+    replay, or the per-config reference when batching is switched off."""
+    if not batched_replay_enabled():
+        from .simulator import run_reference
+
+        return {
+            index: run_reference(trace, config, scheme, warm_cache)
+            for index, config, scheme in members
+        }
+    return _replay_compiled_batch(trace, members, warm_cache)
+
+
+def replay_compiled(
+    trace: Sequence[TraceEntry],
+    config: MachineConfig,
+    scheme: Optional[ComputeScheme] = None,
+    warm_cache: bool = True,
+) -> SimulationResult:
+    """Replay an already-compiled trace under one configuration (the replay
+    half of :func:`~repro.core.simulator.simulate_kernel`)."""
+    if scheme is None:
+        scheme = get_scheme(config.scheme_name)
+    return _replay_members(trace, [(0, config, scheme)], warm_cache)[0]
+
+
 def simulate_trace_batch(
     trace: Sequence[TraceEntry],
     configs: Sequence[MachineConfig],
@@ -648,17 +696,20 @@ def simulate_trace_batch(
 ) -> list[tuple[SimulationResult, CompiledKernel]]:
     """Replay one captured trace under every configuration in ``configs``.
 
-    Returns ``(result, compiled)`` pairs in input order, bit-identical to
-    calling :func:`~repro.core.simulator.simulate_trace` per config.  Configs
-    sharing register-file geometry share the compiled kernel and one
-    decomposed replay (memory pass per hierarchy key, compute pass per
-    scheme/geometry key, cheap per-config timeline); geometry changes split
-    the batch, exactly as :func:`replay_group_key` describes.
+    Returns ``(result, compiled)`` pairs in input order.  Configs sharing
+    register-file geometry share the compiled kernel (through
+    :func:`compile_trace_cached`) and one decomposed replay (memory pass per
+    hierarchy key, compute pass per scheme/geometry key, cheap per-config
+    timeline); geometry changes split the batch, exactly as
+    :func:`replay_group_key` describes.  One config is simply a batch of
+    one: :func:`~repro.core.simulator.simulate_trace` delegates here.
 
     ``schemes`` optionally pins a scheme object per config (defaulting to
-    ``get_scheme(config.scheme_name)``).  With ``REPRO_BATCHED_REPLAY=0`` (or
-    the scalar cache reference selected) this degrades to the per-config
-    loop, which is the bit-identity escape hatch the parity suite pins.
+    ``get_scheme(config.scheme_name)``).  ``REPRO_BATCHED_REPLAY=0`` (or the
+    scalar cache reference, ``REPRO_SCALAR_CACHE=1``) replays every config
+    through the per-config reference
+    :meth:`~repro.core.simulator.MVESimulator.run` instead, bit-identical
+    to the decomposed replay; the parity suite pins that.
     """
     if schemes is None:
         schemes = [None] * len(configs)
@@ -668,14 +719,6 @@ def simulate_trace_batch(
         scheme if scheme is not None else get_scheme(config.scheme_name)
         for config, scheme in zip(configs, schemes)
     ]
-
-    if not batched_replay_enabled() or len(configs) < 2:
-        from .simulator import simulate_trace
-
-        return [
-            simulate_trace(trace, config=config, scheme=scheme, warm_cache=warm_cache)
-            for config, scheme in zip(configs, resolved_schemes)
-        ]
 
     by_geometry: dict[tuple, list[tuple[int, MachineConfig, ComputeScheme]]] = {}
     for index, (config, scheme) in enumerate(zip(configs, resolved_schemes)):
@@ -693,7 +736,7 @@ def simulate_trace_batch(
             array_cols=first_config.engine.array.cols,
         )
         compiled = compile_trace_cached(trace, register_file=register_file)
-        group_results = _replay_compiled_batch(compiled, members, warm_cache)
+        group_results = _replay_members(compiled.trace, members, warm_cache)
         for index, _, _ in members:
             results[index] = group_results[index]
             compiled_for[index] = compiled

@@ -43,7 +43,13 @@ from .energy import EnergyCoefficients, EnergyModel
 from .results import SimulationResult
 from .scalar_core import ScalarCoreModel
 
-__all__ = ["MVESimulator", "simulate_kernel", "simulate_trace", "simulate_trace_batch"]
+__all__ = [
+    "MVESimulator",
+    "run_reference",
+    "simulate_kernel",
+    "simulate_trace",
+    "simulate_trace_batch",
+]
 
 
 class MVESimulator:
@@ -239,6 +245,27 @@ class MVESimulator:
         return max(cache_cycles, tmu_cycles) + sram_row_cycles + config.controller_dispatch_cycles
 
 
+def run_reference(
+    trace: Sequence[TraceEntry],
+    config: MachineConfig,
+    scheme: Optional[ComputeScheme] = None,
+    warm_cache: bool = True,
+) -> SimulationResult:
+    """Replay an already-compiled trace on a fresh :class:`MVESimulator`.
+
+    The per-config reference the decomposed replay of :mod:`.replay` is
+    tested against; production replay reaches it only through the
+    ``REPRO_BATCHED_REPLAY=0`` / ``REPRO_SCALAR_CACHE=1`` switches.
+    ``warm_cache=True`` runs the trace twice and reports the second,
+    steady-state run.
+    """
+    simulator = MVESimulator(config=config, scheme=scheme)
+    if warm_cache:
+        simulator.run(trace)
+        return simulator.run(trace, reset_state=False)
+    return simulator.run(trace)
+
+
 def simulate_kernel(
     trace: Sequence[TraceEntry],
     config: Optional[MachineConfig] = None,
@@ -251,7 +278,8 @@ def simulate_kernel(
     ``warm_cache=True`` runs the trace twice and reports the second,
     steady-state run -- the equivalent of the paper's repeated kernel
     invocations on the phone, where inputs already live in the cache
-    hierarchy.
+    hierarchy.  The compile is uncached (the trace is usually a one-off);
+    the replay is the decomposed one of :func:`replay_compiled`.
     """
     config = config or default_config()
     compiled = None
@@ -263,13 +291,7 @@ def simulate_kernel(
         )
         compiled = compile_trace(trace, register_file=register_file)
         trace = compiled.trace
-    simulator = MVESimulator(config=config, scheme=scheme)
-    if warm_cache:
-        simulator.run(trace)
-        result = simulator.run(trace, reset_state=False)
-    else:
-        result = simulator.run(trace)
-    return result, compiled
+    return replay_compiled(trace, config, scheme, warm_cache), compiled
 
 
 def simulate_trace(
@@ -284,28 +306,19 @@ def simulate_trace(
     stage (or the trace cache) and may be replayed many times, so the
     compile step goes through :func:`compile_trace_cached` -- configurations
     that keep the register-file geometry reuse the scheduled,
-    register-allocated kernel and only re-run the timing model.  Identical
-    to :func:`simulate_kernel` with ``compile_first=True`` result-wise.
+    register-allocated kernel and only re-run the timing model.  This is
+    :func:`simulate_trace_batch` on a batch of one, so the same switches
+    apply: ``REPRO_BATCHED_REPLAY=0`` or ``REPRO_SCALAR_CACHE=1`` select
+    the per-config reference :func:`run_reference`.  Identical to
+    :func:`simulate_kernel` with ``compile_first=True`` result-wise.
     """
     config = config or default_config()
-    register_file = PhysicalRegisterFile(
-        num_arrays=config.engine.num_arrays,
-        array_rows=config.engine.array.rows,
-        array_cols=config.engine.array.cols,
-    )
-    compiled = compile_trace_cached(trace, register_file=register_file)
-    simulator = MVESimulator(config=config, scheme=scheme)
-    if warm_cache:
-        simulator.run(compiled.trace)
-        result = simulator.run(compiled.trace, reset_state=False)
-    else:
-        result = simulator.run(compiled.trace)
-    return result, compiled
+    return simulate_trace_batch(trace, [config], [scheme], warm_cache)[0]
 
 
-# The config-batched sibling of simulate_trace lives in .replay (it shares
-# this module's timing semantics but none of its per-config state); importing
-# it here keeps `from repro.core.simulator import simulate_trace_batch` the
-# canonical spelling.  The import sits below the definitions it depends on
-# because replay's per-config fallback calls back into simulate_trace.
-from .replay import simulate_trace_batch  # noqa: E402  (intentional tail import)
+# The decomposed replay lives in .replay (it shares this module's timing
+# semantics but none of its per-config state); importing it here keeps
+# `from repro.core.simulator import simulate_trace_batch` the canonical
+# spelling.  The import sits below the definitions it depends on because
+# replay's reference path calls back into run_reference.
+from .replay import replay_compiled, simulate_trace_batch  # noqa: E402  (intentional tail import)

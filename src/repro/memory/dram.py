@@ -11,6 +11,7 @@ and bandwidth saturation under wide vector accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -113,18 +114,23 @@ class DRAMModel:
         return latency
 
     def classify_batch(
-        self, addresses: np.ndarray, is_write: bool = False, size_bytes: int = 64
+        self,
+        addresses: np.ndarray,
+        is_write: Union[bool, np.ndarray] = False,
+        size_bytes: int = 64,
     ) -> np.ndarray:
         """Row-hit mask for a batch of accesses, in request order.
 
         Performs the full state transition of :meth:`access_batch` -- the
         open-row table and every statistic are updated exactly as a
         per-address :meth:`access` sequence would -- but returns the boolean
-        row-buffer classification instead of latencies.  The classification
-        depends only on the structural parameters (channels, banks, row and
-        burst size), never on the timing parameters, which is what lets the
-        config-batched replay engine share one classification pass across
-        configs that differ only in DRAM timing.
+        row-buffer classification instead of latencies.  ``is_write`` is one
+        flag for the batch or a per-access bool array (it only feeds the
+        read/write counters).  The classification depends only on the
+        structural parameters (channels, banks, row and burst size), never on
+        the timing parameters, which is what lets the config-batched replay
+        engine share one classification pass across configs that differ only
+        in DRAM timing.
         """
         addresses = addresses.astype(np.int64, copy=False).ravel()
         n = int(addresses.size)
@@ -163,10 +169,9 @@ class DRAMModel:
         hits = int(sorted_row_hit.sum())
         self.stats.row_hits += hits
         self.stats.row_misses += n - hits
-        if is_write:
-            self.stats.writes += n
-        else:
-            self.stats.reads += n
+        writes = int(np.count_nonzero(np.broadcast_to(is_write, (n,))))
+        self.stats.writes += writes
+        self.stats.reads += n - writes
         self.stats.bytes_transferred += n * size_bytes
         bursts = max(1, (size_bytes + cfg.burst_bytes - 1) // cfg.burst_bytes)
         self.stats.busy_cycles += n * bursts * cfg.t_burst

@@ -20,6 +20,17 @@ and statistics.  Exactness hinges on two observations:
   round *r* carries every set's *r*-th line -- where each round touches
   pairwise-distinct sets and resolves fully in parallel.  A batch with no
   set conflicts (the common case) is a single round.
+
+:meth:`VectorCache.access_batch` lays the rounds out contiguously (one
+stable sort by in-set rank, then one slice per round) and takes the write
+flag per line, so one call serves a single vector op and a chunk of a whole
+trace's line stream alike (the replay's memory pass feeds it the latter).
+Sets whose lines would need many rounds replay sequentially in one tight
+Python loop instead; which sets those are is decided from the batch's own
+per-set line counts, trading the fixed cost of a round against the
+per-line cost of sequential replay.  A stream chunk spreading a few lines
+over every set resolves in rounds; a one-set conflict storm replays
+sequentially.
 """
 
 from __future__ import annotations
@@ -157,7 +168,8 @@ class VectorCache:
     def invalidate_batch(self, addresses: np.ndarray) -> None:
         """Drop every resident line among ``addresses`` (distinct lines)."""
         addresses = addresses.astype(np.int64, copy=False).ravel()
-        if addresses.size == 0:
+        # An empty cache (the L1 under engine-only replay) has nothing to drop.
+        if addresses.size == 0 or not self._valid.any():
             return
         line_addr = addresses // self.config.line_bytes
         index = line_addr % self._num_sets
@@ -190,18 +202,20 @@ class VectorCache:
     def access_batch(
         self,
         addresses: np.ndarray,
-        is_write: bool = False,
+        is_write: Union[bool, np.ndarray] = False,
         clear_presence: bool = False,
         collect_evictions: bool = False,
     ) -> np.ndarray:
-        """Access a batch of distinct lines; returns the per-line hit mask.
+        """Access a batch of lines; returns the per-line hit mask.
 
-        Equivalent to calling :meth:`access` per address in order (with
-        ``clear_presence`` additionally dropping the presence bit of every
-        hit, as an engine-side access does).  Each access's LRU tick comes
-        from its batch position, so the only ordering that matters is
-        between lines mapping to the same set; those resolve over
-        successive all-distinct-sets rounds.
+        Equivalent to calling :meth:`access` per address in order, repeated
+        lines included (with ``clear_presence`` additionally dropping the
+        presence bit of every hit, as an engine-side access does).
+        ``is_write`` is one flag for the whole batch or a per-line bool
+        array, so a stream mixing loads and stores resolves in one call.
+        Each access's LRU tick comes from its batch position, so the only
+        ordering that matters is between lines mapping to the same set;
+        those resolve over successive all-distinct-sets rounds.
 
         With ``collect_evictions`` the line addresses of every displaced
         valid victim are recorded; drain them with :meth:`take_evictions`
@@ -213,88 +227,96 @@ class VectorCache:
         hits = np.zeros(n, dtype=bool)
         if n == 0:
             return hits
-        line_addr = addresses // self.config.line_bytes
-        index = line_addr % self._num_sets
-        tag = line_addr // self._num_sets
-        ticks = self._tick + 1 + np.arange(n, dtype=np.int64)
+        writes = np.broadcast_to(np.asarray(is_write, dtype=bool), (n,))
+        tag, index = np.divmod(addresses // self.config.line_bytes, self._num_sets)
+        # the LRU tick of the line at batch position p
+        first_tick = self._tick + 1
         self._tick += n
 
         # Rank each line within its set (0 for the set's first line in the
         # batch, 1 for its second, ...).  Round r then touches every set at
         # most once, so all of round r resolves in parallel, and per-set
         # request order -- the only order that matters -- is preserved
-        # across rounds.  Sets receiving many lines are inherently
-        # sequential, so they are replayed in one tight per-set loop instead
-        # of degenerating into thousands of single-line rounds.
+        # across rounds.
         order = np.argsort(index, kind="stable")
-        sorted_index = index[order]
         starts = np.empty(n, dtype=bool)
         starts[0] = True
-        starts[1:] = sorted_index[1:] != sorted_index[:-1]
+        np.not_equal(index[order[1:]], index[order[:-1]], out=starts[1:])
         group_first = np.flatnonzero(starts)
         group_id = np.cumsum(starts) - 1
         counts = np.diff(np.append(group_first, n))
         rank = np.arange(n, dtype=np.int64) - group_first[group_id]
 
-        hot = counts > self._HOT_SET_THRESHOLD
-        if hot.any():
-            for group in np.flatnonzero(hot).tolist():
-                begin = int(group_first[group])
-                members = order[begin : begin + int(counts[group])]
-                self._replay_set(
-                    int(sorted_index[begin]),
-                    tag[members],
-                    ticks[members],
-                    is_write,
-                    clear_presence,
-                    hits,
-                    members,
-                )
-            cold_sorted = ~hot[group_id]
-            round_count = int(counts[~hot].max()) if (~hot).any() else 0
-        else:
-            cold_sorted = None
-            round_count = int(counts.max())
+        hot = self._hot_sets(counts)
+        cold = ~hot[group_id]
+        if not cold.all():
+            self._replay_sets(
+                order[~cold], group_id[~cold], writes, clear_presence, index, tag, first_tick, hits
+            )
+            order, rank = order[cold], rank[cold]
 
-        for round_number in range(round_count):
-            in_round = rank == round_number
-            if cold_sorted is not None:
-                in_round &= cold_sorted
-            members = order[in_round]
-            if members.size == 0:
-                break
-            if members.size >= 4:
-                self._access_distinct_sets(
-                    index[members],
-                    tag[members],
-                    ticks[members],
-                    is_write,
+        # Lay the rounds out contiguously: one stable sort by rank, then
+        # round r is one slice.
+        by_round = order[np.argsort(rank, kind="stable")]
+        round_ends = np.cumsum(np.bincount(rank)).tolist()
+        round_index = index[by_round]
+        round_tag = tag[by_round]
+        round_ticks = by_round + first_tick
+        round_writes = writes[by_round]
+        round_hits = np.empty(by_round.size, dtype=bool)
+        begin = 0
+        for end in round_ends:
+            if end - begin >= 4:
+                round_hits[begin:end] = self._access_distinct_sets(
+                    round_index[begin:end],
+                    round_tag[begin:end],
+                    round_ticks[begin:end],
+                    round_writes[begin:end],
                     clear_presence,
-                    hits,
-                    members,
                 )
             else:
-                for position in members.tolist():
-                    hits[position] = self._access_one(
-                        int(index[position]),
-                        int(tag[position]),
-                        int(ticks[position]),
-                        is_write,
+                for position in range(begin, end):
+                    round_hits[position] = self._access_one(
+                        int(round_index[position]),
+                        int(round_tag[position]),
+                        int(round_ticks[position]),
+                        bool(round_writes[position]),
                         clear_presence,
                     )
+            begin = end
+        hits[by_round] = round_hits
         return hits
 
-    #: batch lines landing in one set before it is replayed sequentially
-    #: rather than spread over all-distinct-sets rounds
-    _HOT_SET_THRESHOLD = 8
+    #: cost of one all-distinct-sets round, in lines replayed sequentially:
+    #: a round is a fixed run of numpy calls whatever its size (~25-35 us),
+    #: a sequential line a few Python-level compares (~2 us), measured on a
+    #: 2-core x86-64 host
+    _ROUND_COST_LINES = 16
+
+    @classmethod
+    def _hot_sets(cls, counts: np.ndarray) -> np.ndarray:
+        """Which of the batch's sets (by per-set line count) replay
+        sequentially instead of over rounds.
+
+        Replaying the k busiest sets sequentially leaves as many rounds as
+        the next-busiest set has lines; k is chosen to minimise rounds times
+        :data:`_ROUND_COST_LINES` plus the sequentially replayed lines.  So a
+        batch spreading a few lines over every set (a stream chunk) resolves
+        in rounds, and a one-set conflict storm replays sequentially.
+        """
+        ranked = np.sort(counts)[::-1]
+        rounds = np.append(ranked, 0)
+        sequential = np.concatenate(([0], np.cumsum(ranked)))
+        best = int(np.argmin(rounds * cls._ROUND_COST_LINES + sequential))
+        return counts > rounds[best]
 
     def take_evictions(self) -> np.ndarray:
         """Line addresses evicted by the last ``collect_evictions`` batch
         (drains the buffer).
 
-        **Ordering guarantee: set equality, not per-access order.**  Hot-set
-        groups (more than :data:`_HOT_SET_THRESHOLD` lines on one set) are
-        replayed before the all-distinct-sets rounds, so the buffer's order
+        **Ordering guarantee: set equality, not per-access order.**  Hot sets
+        (those :meth:`_hot_sets` picks for sequential replay) are replayed
+        before the all-distinct-sets rounds, so the buffer's order
         can differ from the order a per-access scalar replay would evict in.
         The *multiset* of evicted lines is always identical to the scalar
         reference: eviction decisions are local to a set (victim choice reads
@@ -315,72 +337,88 @@ class VectorCache:
             [np.atleast_1d(np.asarray(chunk, dtype=np.int64)) for chunk in buffer]
         )
 
-    def _replay_set(
+    def _replay_sets(
         self,
-        index: int,
-        tags: np.ndarray,
-        ticks: np.ndarray,
-        is_write: bool,
-        clear_presence: bool,
-        hits: np.ndarray,
         positions: np.ndarray,
+        groups: np.ndarray,
+        writes: np.ndarray,
+        clear_presence: bool,
+        index: np.ndarray,
+        tag: np.ndarray,
+        first_tick: int,
+        hits: np.ndarray,
     ) -> None:
-        """Replay one heavily-conflicted set's lines in request order.
+        """Replay the hot sets' lines in request order, one tight loop.
 
-        The set's ways are pulled into plain Python lists once, mutated in a
-        tight loop (identical transition rules to :meth:`_access_one`) and
-        written back, so a set receiving hundreds of batch lines costs
+        ``positions`` are the hot lines' batch positions grouped by set (in
+        request order within each set) and ``groups`` their set groups.  The
+        sets' ways are pulled into plain Python lists once, mutated in the
+        loop (identical transition rules to :meth:`_access_one`) and written
+        back, so a set receiving hundreds of batch lines costs
         O(lines * ways) Python-level operations and no per-line numpy calls.
         """
-        way_tags = self._tags[index].tolist()
-        way_valid = self._valid[index].tolist()
-        way_dirty = self._dirty[index].tolist()
-        way_present = self._present[index].tolist()
-        way_lru = self._lru[index].tolist()
-        ways = len(way_tags)
+        new_set = np.empty(positions.size, dtype=bool)
+        new_set[0] = True
+        np.not_equal(groups[1:], groups[:-1], out=new_set[1:])
+        rows = np.cumsum(new_set) - 1
+        sets = index[positions[new_set]]
+        all_tags = self._tags[sets].tolist()
+        all_valid = self._valid[sets].tolist()
+        all_dirty = self._dirty[sets].tolist()
+        all_present = self._present[sets].tolist()
+        all_lru = self._lru[sets].tolist()
+        set_list = sets.tolist()
+        ways = self.config.ways
         hit_count = miss_count = evictions = writebacks = 0
 
-        for tag, tick, position in zip(tags.tolist(), ticks.tolist(), positions.tolist()):
+        for row, line_tag, tick, is_write, position in zip(
+            rows.tolist(),
+            tag[positions].tolist(),
+            (positions + first_tick).tolist(),
+            writes[positions].tolist(),
+            positions.tolist(),
+        ):
+            way_tags = all_tags[row]
+            way_valid = all_valid[row]
+            way_lru = all_lru[row]
             way = None
             for candidate in range(ways):
-                if way_valid[candidate] and way_tags[candidate] == tag:
+                if way_valid[candidate] and way_tags[candidate] == line_tag:
                     way = candidate
                     break
             if way is not None:
                 hits[position] = True
                 hit_count += 1
                 if clear_presence:
-                    way_present[way] = False
+                    all_present[row][way] = False
                 way_lru[way] = tick
                 if is_write:
-                    way_dirty[way] = True
+                    all_dirty[row][way] = True
                 continue
             miss_count += 1
-            way = None
-            for candidate in range(ways):
-                if not way_valid[candidate]:
-                    way = candidate
-                    break
-            if way is None:
+            if False in way_valid:
+                way = way_valid.index(False)
+            else:
                 way = min(range(ways), key=way_lru.__getitem__)
                 evictions += 1
-                if way_dirty[way]:
+                if all_dirty[row][way]:
                     writebacks += 1
                 if self._evictions_buffer is not None:
                     self._evictions_buffer.append(
-                        (way_tags[way] * self._num_sets + index) * self.config.line_bytes
+                        (way_tags[way] * self._num_sets + set_list[row])
+                        * self.config.line_bytes
                     )
-            way_tags[way] = tag
+            way_tags[way] = line_tag
             way_valid[way] = True
-            way_dirty[way] = is_write
-            way_present[way] = False
+            all_dirty[row][way] = is_write
+            all_present[row][way] = False
             way_lru[way] = tick
 
-        self._tags[index] = way_tags
-        self._valid[index] = way_valid
-        self._dirty[index] = way_dirty
-        self._present[index] = way_present
-        self._lru[index] = way_lru
+        self._tags[sets] = all_tags
+        self._valid[sets] = all_valid
+        self._dirty[sets] = all_dirty
+        self._present[sets] = all_present
+        self._lru[sets] = all_lru
         self.stats.hits += hit_count
         self.stats.misses += miss_count
         self.stats.evictions += evictions
@@ -391,53 +429,52 @@ class VectorCache:
         index: np.ndarray,
         tag: np.ndarray,
         ticks: np.ndarray,
-        is_write: bool,
+        writes: np.ndarray,
         clear_presence: bool,
-        hits: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        """Resolve a round of lines mapping to pairwise-distinct sets."""
+    ) -> np.ndarray:
+        """Resolve a round of lines mapping to pairwise-distinct sets;
+        returns the round's hit mask."""
         set_valid = self._valid[index]  # (m, ways) gathers
         match = set_valid & (self._tags[index] == tag[:, None])
         is_hit = match.any(axis=1)
-        hits[positions] = is_hit
+        # Scatters go through flat (set * ways + way) slots of the
+        # contiguous state arrays, cheaper than (set, way) index pairs.
+        ways = self.config.ways
 
-        hit_sets = index[is_hit]
-        if hit_sets.size:
-            hit_ways = match[is_hit].argmax(axis=1)
+        if is_hit.any():
+            hit_slots = index[is_hit] * ways + match[is_hit].argmax(axis=1)
             if clear_presence:
-                self._present[hit_sets, hit_ways] = False
-            self._lru[hit_sets, hit_ways] = ticks[is_hit]
-            if is_write:
-                self._dirty[hit_sets, hit_ways] = True
+                self._present.reshape(-1)[hit_slots] = False
+            self._lru.reshape(-1)[hit_slots] = ticks[is_hit]
+            self._dirty.reshape(-1)[hit_slots] |= writes[is_hit]
 
         missed = ~is_hit
         miss_sets = index[missed]
         if miss_sets.size:
             invalid = ~set_valid[missed]
-            has_invalid = invalid.any(axis=1)
-            victim = np.where(
-                has_invalid, invalid.argmax(axis=1), self._lru[miss_sets].argmin(axis=1)
-            )
-            victim_valid = self._valid[miss_sets, victim]
-            self.stats.evictions += int(victim_valid.sum())
-            self.stats.writebacks += int(
-                (victim_valid & self._dirty[miss_sets, victim]).sum()
-            )
-            if self._evictions_buffer is not None and victim_valid.any():
-                evicted_sets = miss_sets[victim_valid]
-                evicted_tags = self._tags[evicted_sets, victim[victim_valid]]
-                self._evictions_buffer.append(
-                    (evicted_tags * self._num_sets + evicted_sets) * self.config.line_bytes
-                )
-            self._tags[miss_sets, victim] = tag[missed]
-            self._valid[miss_sets, victim] = True
-            self._dirty[miss_sets, victim] = is_write
-            self._present[miss_sets, victim] = False
-            self._lru[miss_sets, victim] = ticks[missed]
+            # an invalid way is always the victim when the set has one, so
+            # the victim was valid exactly when the set was full
+            full = ~invalid.any(axis=1)
+            victim = np.where(full, self._lru[miss_sets].argmin(axis=1), invalid.argmax(axis=1))
+            slots = miss_sets * ways + victim
+            if full.any():
+                evicted = slots[full]
+                self.stats.evictions += int(evicted.size)
+                self.stats.writebacks += int(self._dirty.reshape(-1)[evicted].sum())
+                if self._evictions_buffer is not None:
+                    self._evictions_buffer.append(
+                        (self._tags.reshape(-1)[evicted] * self._num_sets + miss_sets[full])
+                        * self.config.line_bytes
+                    )
+            self._tags.reshape(-1)[slots] = tag[missed]
+            self._valid.reshape(-1)[slots] = True
+            self._dirty.reshape(-1)[slots] = writes[missed]
+            self._present.reshape(-1)[slots] = False
+            self._lru.reshape(-1)[slots] = ticks[missed]
 
         self.stats.hits += int(is_hit.sum())
         self.stats.misses += int(missed.sum())
+        return is_hit
 
 
 class VectorCacheHierarchy(CacheHierarchy):

@@ -2,8 +2,9 @@
 
 The tentpole contract, pinned bit-for-bit:
 
-* ``simulate_trace_batch`` reproduces per-config ``simulate_trace`` exactly
-  -- the full ``SimulationResult`` dict including cache/DRAM statistics,
+* ``simulate_trace_batch`` reproduces the per-config ``MVESimulator``
+  reference (``REPRO_BATCHED_REPLAY=0``) exactly, for one config and for
+  many -- the full ``SimulationResult`` dict including cache/DRAM statistics,
   plus compile spill counts -- across the compute-scheme axis, the cache
   geometry axis, the DRAM timing axis, and mixed axes that force a
   compiled-kernel split inside one batch,
@@ -54,17 +55,25 @@ def shrunk_rows_config():
     return dataclasses.replace(default_config(), engine=engine)
 
 
+def reference_replay(trace, config):
+    """The per-config reference: ``simulate_trace`` with batching switched
+    off, which replays through ``MVESimulator.run``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_BATCHED_REPLAY", "0")
+        return simulate_trace(trace, config=config)
+
+
 def assert_batch_parity(trace, configs):
     batched = simulate_trace_batch(trace, configs)
     assert len(batched) == len(configs)
     for config, (result, compiled) in zip(configs, batched):
-        expected, expected_compiled = simulate_trace(trace, config=config)
+        expected, expected_compiled = reference_replay(trace, config)
         assert result.to_dict() == expected.to_dict()
         assert compiled.spill_count == expected_compiled.spill_count
 
 
 class TestSimulateTraceBatchParity:
-    """simulate_trace_batch vs per-config simulate_trace, axis by axis."""
+    """simulate_trace_batch vs the per-config reference, axis by axis."""
 
     def test_scheme_axis(self, csum_trace):
         configs = [default_config().with_scheme(name) for name in SCHEME_NAMES]

@@ -429,8 +429,9 @@ class TestEvictionParity:
 
     @staticmethod
     def _conflict_addresses(num_sets, line_bytes):
-        # Twelve lines on set 0 (above the hot-set replay threshold of 8)
-        # interleaved with three conflicting lines on each of sets 1..8.
+        # Twelve lines on set 0 interleaved with three conflicting lines on
+        # each of sets 1..8; the engine replays these hot sets set by set,
+        # not in request order.
         hot = [(k * num_sets) * line_bytes for k in range(12)]
         spread = [
             (k * num_sets + s) * line_bytes for s in range(1, 9) for k in range(3)

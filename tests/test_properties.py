@@ -398,3 +398,226 @@ class TestCacheEngineParity:
         actual = batched.access_batch(np.asarray(aligned, dtype=np.int64), is_write)
         assert actual.tolist() == expected
         assert vars(batched.stats) == vars(serial.stats)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(min_value=0, max_value=1023), st.booleans()),
+                min_size=1,
+                max_size=150,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([32, 256]),
+    )
+    @settings(max_examples=60)
+    def test_per_line_write_masks_match_scalar(self, batches, num_sets):
+        """``access_batch`` and ``classify_batch`` with a per-line write mask
+        (the stream pass's mixed load/store chunks) against per-line scalar
+        accesses: hits, dirty lines, write-backs and DRAM read/write counts.
+        Lines recur within and across batches, so write hits occur too;
+        over 32 sets they replay mostly as hot sets, over 256 sets mostly as
+        rounds."""
+        from repro.memory import Cache, CacheConfig, DRAMModel, VectorCache
+
+        config = CacheConfig("T", num_sets * 4 * 64, 4)
+        scalar, vector = Cache(config), VectorCache(config)
+        serial_dram, batched_dram = DRAMModel(), DRAMModel()
+        for batch in batches:
+            addresses = np.array([line * 64 for line, _ in batch], dtype=np.int64)
+            writes = np.array([is_write for _, is_write in batch], dtype=bool)
+            expected = [scalar.access(int(a), bool(w)) for a, w in zip(addresses, writes)]
+            assert vector.access_batch(addresses, writes).tolist() == expected
+            latencies = [serial_dram.access(int(a), bool(w)) for a, w in zip(addresses, writes)]
+            row_hit = batched_dram.classify_batch(addresses, writes)
+            assert batched_dram.latencies_from_classification(row_hit).tolist() == latencies
+        assert vars(vector.stats) == vars(scalar.stats)
+        assert vector.dirty_line_count() == scalar.dirty_line_count()
+        assert vars(batched_dram.stats) == vars(serial_dram.stats)
+
+
+#: DRAM timing variants sharing one address-mapping structure, so one stream
+#: pass classifies for all of them
+_DRAM_TIMINGS = (
+    {},
+    {"t_cas": 60, "t_rcd": 70, "t_rp": 70},
+    {"t_burst": 12, "peak_bytes_per_cycle": 6.0},
+)
+
+
+def _footprint_instruction(kind, start, stride, count, lines, is_store):
+    """A vector load/store whose cache-line footprint the strategy chose."""
+    from repro.isa import MemoryInstruction, Opcode
+
+    if kind == "empty":
+        opcode = Opcode.STRIDED_STORE if is_store else Opcode.STRIDED_LOAD
+        return MemoryInstruction(opcode=opcode, is_store=is_store)
+    if kind == "random":
+        opcode = Opcode.RANDOM_STORE if is_store else Opcode.RANDOM_LOAD
+        bases = tuple(line * 64 + 4 * (line % 16) for line in lines)
+        return MemoryInstruction(
+            opcode=opcode,
+            is_store=is_store,
+            is_random=True,
+            random_bases=bases,
+            shape_lengths=(len(bases),),
+        )
+    # strided: one INT32 element per line, ``stride`` lines apart
+    opcode = Opcode.STRIDED_STORE if is_store else Opcode.STRIDED_LOAD
+    return MemoryInstruction(
+        opcode=opcode,
+        is_store=is_store,
+        base_address=start * 64,
+        resolved_strides=(stride * 16,),
+        shape_lengths=(count,),
+    )
+
+
+class TestStreamMemoryPassParity:
+    """The replay's chunked stream memory pass
+    (:func:`repro.core.replay._run_memory_pass`) against a per-instruction
+    ``vector_block_access`` loop and the scalar ``CacheHierarchy``: the same
+    per-instruction cycles (per DRAM timing variant), L2/LLC/DRAM counts,
+    DRAM bytes and L2 hit rate, warm-up run included."""
+
+    #: small caches so short streams evict: 16 L2 storage sets, 64 LLC sets
+    _SMALL_L2_SETS = 16
+
+    @staticmethod
+    def _hierarchy_config(dram):
+        from repro.memory import CacheConfig, HierarchyConfig
+
+        return HierarchyConfig(
+            l1d=CacheConfig("L1-D", 2048, 2, hit_latency=4),
+            l2=CacheConfig("L2", 8192, 8, hit_latency=12, mshr_entries=5),
+            llc=CacheConfig("LLC", 16384, 4, hit_latency=31),
+            dram=dram,
+        )
+
+    @staticmethod
+    def _per_instruction(hierarchy, instructions, warm_cache):
+        """Drive ``hierarchy`` one instruction at a time, the way
+        ``MVESimulator`` does, and read the stat deltas around each call."""
+        from repro.core.address_gen import cache_line_addresses
+
+        footprints = [cache_line_addresses(i, hierarchy.line_bytes) for i in instructions]
+        if warm_cache:
+            for instruction, lines in zip(instructions, footprints):
+                hierarchy.vector_block_access(lines, instruction.is_store)
+            hierarchy.reset_stats()
+        rows = []
+        for instruction, lines in zip(instructions, footprints):
+            l2, llc = hierarchy.l2.stats.hits, hierarchy.llc.stats.hits
+            dram = hierarchy.dram.stats.reads + hierarchy.dram.stats.writes
+            cycles = hierarchy.vector_block_access(lines, instruction.is_store)
+            rows.append(
+                (
+                    cycles,
+                    hierarchy.l2.stats.hits - l2,
+                    hierarchy.llc.stats.hits - llc,
+                    hierarchy.dram.stats.reads + hierarchy.dram.stats.writes - dram,
+                )
+            )
+        return rows, hierarchy.dram.stats.bytes_transferred, hierarchy.l2.stats.hit_rate()
+
+    def _assert_stream_parity(self, instructions, timings, warm_cache, config_for, scalar=True):
+        from repro.core.energy import EnergyCoefficients
+        from repro.core.replay import _StaticTrace, _run_memory_pass
+        from repro.memory import CacheHierarchy, DRAMConfig, VectorCacheHierarchy
+
+        variants = [DRAMConfig(**timing) for timing in timings]
+        static = _StaticTrace(instructions, EnergyCoefficients())
+        stream = _run_memory_pass(static, config_for(variants[0]), 4, variants, warm_cache)
+        engines = (VectorCacheHierarchy, CacheHierarchy) if scalar else (VectorCacheHierarchy,)
+        for variant in variants:
+            for engine in engines:
+                hierarchy = engine(config_for(variant), l2_compute_ways=4)
+                rows, dram_bytes, hit_rate = self._per_instruction(
+                    hierarchy, instructions, warm_cache
+                )
+                got = list(
+                    zip(
+                        stream.cycles[variant],
+                        stream.l2_hits,
+                        stream.llc_hits,
+                        stream.dram_accesses,
+                    )
+                )
+                assert got == rows, engine.__name__
+                assert stream.dram_bytes == dram_bytes
+                assert stream.l2_hit_rate == hit_rate
+
+    instruction_strategy = st.one_of(
+        st.tuples(
+            st.just("random"),
+            st.just(0),
+            st.just(0),
+            st.just(0),
+            st.lists(st.integers(min_value=0, max_value=1023), min_size=0, max_size=40),
+            st.booleans(),
+        ),
+        st.tuples(
+            st.just("strided"),
+            st.integers(min_value=0, max_value=1023),  # first line
+            st.sampled_from([1, 2, 3, 8, 64]),  # line stride
+            st.integers(min_value=1, max_value=200),  # lines
+            st.just(()),
+            st.booleans(),
+        ),
+        # one-set conflict storm: every line on the same L2 set, more lines
+        # than the set has ways many times over
+        st.tuples(
+            st.just("strided"),
+            st.integers(min_value=0, max_value=1023),
+            st.just(_SMALL_L2_SETS),
+            st.integers(min_value=20, max_value=120),
+            st.just(()),
+            st.booleans(),
+        ),
+        st.tuples(st.just("empty"), st.just(0), st.just(0), st.just(0), st.just(()), st.booleans()),
+    )
+
+    @given(
+        instructions=st.lists(instruction_strategy, min_size=1, max_size=25),
+        timings=st.lists(
+            st.sampled_from(_DRAM_TIMINGS), min_size=1, max_size=3, unique_by=repr
+        ),
+        warm_cache=st.booleans(),
+        chunk_lines=st.sampled_from([1, 24, 64, 8192]),
+    )
+    @settings(max_examples=60)
+    def test_stream_pass_matches_per_instruction_replay(
+        self, instructions, timings, warm_cache, chunk_lines
+    ):
+        from unittest import mock
+
+        from repro.core import replay
+
+        trace = [_footprint_instruction(*spec) for spec in instructions]
+        # Small chunks make instructions straddle and exceed chunk bounds.
+        with mock.patch.object(replay, "STREAM_CHUNK_LINES", chunk_lines):
+            self._assert_stream_parity(trace, timings, warm_cache, self._hierarchy_config)
+
+    def test_instruction_larger_than_a_chunk_on_table_iv_caches(self):
+        """At the real chunk size and the default (Table IV) hierarchy: a
+        single instruction spanning more than a chunk, stores among loads,
+        a one-set storm on the 1024-set L2 and an empty footprint."""
+        import dataclasses
+
+        from repro.core.replay import STREAM_CHUNK_LINES
+        from repro.memory import HierarchyConfig
+
+        big = STREAM_CHUNK_LINES + 1000
+        trace = [
+            _footprint_instruction("strided", 0, 1, 300, (), False),
+            _footprint_instruction("strided", 4096, 1, big, (), True),
+            _footprint_instruction("strided", 7, 1024, 150, (), False),
+            _footprint_instruction("empty", 0, 0, 0, (), True),
+            _footprint_instruction("strided", 100, 3, 3000, (), False),
+        ]
+
+        def table_iv(dram):
+            return dataclasses.replace(HierarchyConfig(), dram=dram)
+
+        self._assert_stream_parity(trace, _DRAM_TIMINGS[:2], True, table_iv)
