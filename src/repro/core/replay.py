@@ -10,7 +10,7 @@ batch of one: :func:`~repro.core.simulator.simulate_trace` delegates here,
 and :func:`~repro.core.simulator.simulate_kernel` replays its freshly
 compiled trace through :func:`replay_compiled`.
 
-The decomposition leans on four invariants of the timing models:
+The decomposition leans on five invariants of the timing models:
 
 * **Cache and DRAM state evolution is timing-independent.**  Which lines hit,
   which victims are evicted and which DRAM rows are open depend only on the
@@ -30,6 +30,14 @@ The decomposition leans on four invariants of the timing models:
   placement, compute latencies and TMU fill/drain cycles are pure functions
   of (scheme, engine geometry, instruction), so one pass per distinct
   compute key covers every config using it.
+* **Footprints and placement are functions of the access pattern.**  A
+  memory instruction's cache-line footprint depends only on its shape,
+  strides, element width, mask and its base's offset within a line (up to
+  a shift by whole lines), and its lane/CB placement and SRAM/TMU
+  latencies only on its class, opcode, dtype, direction, shape and mask.
+  :func:`~repro.core.address_gen.trace_footprints` and the compute pass
+  therefore evaluate each distinct pattern once per call and reuse it for
+  every instruction sharing it.
 * **The core/engine timeline is cheap.**  Given per-entry durations, the
   queue-backpressure recurrence of :meth:`MVESimulator.run` is a small
   scalar loop, so it runs per config without dominating.
@@ -75,7 +83,7 @@ from ..memory.cache import aggregate_block_cycles, make_hierarchy, use_scalar_ca
 from ..memory.dram import DRAMConfig, DRAMModel
 from ..sram.schemes import ComputeScheme, get_scheme
 from ..sram.tmu import TransposeMemoryUnit
-from .address_gen import cache_line_addresses
+from .address_gen import trace_footprints
 from .config import MachineConfig
 from .controller import MVEControllerModel
 from .energy import EnergyBreakdown, EnergyCoefficients
@@ -182,10 +190,7 @@ class _StaticTrace:
         line size (they are pure functions of instruction and line size)."""
         lines = self._lines_by_width.get(line_bytes)
         if lines is None:
-            lines = [
-                cache_line_addresses(instruction, line_bytes)
-                for instruction in self.memory_instructions
-            ]
+            lines = trace_footprints(self.memory_instructions, line_bytes)
             self._lines_by_width[line_bytes] = lines
         return lines
 
@@ -399,28 +404,28 @@ def _run_compute_pass(
     coefficients: EnergyCoefficients,
 ) -> _ComputePass:
     """Evaluate every placement-, scheme- and TMU-dependent quantity once for
-    all configs sharing this compute key."""
+    all configs sharing this compute key.
+
+    Those quantities depend on an instruction only through its class,
+    opcode, dtype, direction, shape and mask, so each distinct such pattern
+    is evaluated once per call; the energy terms are still added per entry
+    in trace order, keeping the float sum bit-identical.
+    """
     controller = MVEControllerModel(config.engine, scheme)
     tmu = TransposeMemoryUnit(config.tmu)
     multiplier = config.sram_cycle_multiplier
     float_factor = config.float_latency_factor
     dispatch = config.controller_dispatch_cycles
     energy_factor = scheme.energy_per_cycle_factor
+    controller_nj = 1 * coefficients.controller_instruction_pj / 1000.0
 
-    result = _ComputePass(len(static.engine_entries), len(static.memory_instructions))
-    compute_nj = 0.0
-    for op, payload in static.ops:
-        if op != _OP_ENGINE:
-            if op == _OP_CONFIG:
-                compute_nj += 1 * coefficients.controller_instruction_pj / 1000.0
-            continue
-        compute_nj += 1 * coefficients.controller_instruction_pj / 1000.0
-        instruction, memory_index = static.engine_entries[payload]
+    def evaluate(instruction: MVEInstruction, is_memory: bool) -> tuple:
+        """(lane utilization, CB utilization, TMU cycles, SRAM-row cycles)
+        of a memory instruction, or (lane utilization, CB utilization,
+        duration, energy term) of a compute one."""
         element_bits = instruction.dtype.bits
         placement = controller.placement(instruction, element_bits)
-        result.lane_utilization[payload] = placement.lane_utilization
-        result.cb_utilization[payload] = placement.cb_utilization
-        if memory_index >= 0:
+        if is_memory:
             active_elements = instruction.active_elements()
             active_cbs = max(1, placement.active_control_blocks)
             elements_per_cb = (active_elements + active_cbs - 1) // active_cbs
@@ -428,22 +433,51 @@ def _run_compute_pass(
                 cycles = tmu.drain_cycles(elements_per_cb, element_bits)
             else:
                 cycles = tmu.fill_cycles(elements_per_cb, element_bits)
-            result.tmu_cycles[memory_index] = cycles
-            result.sram_row_cycles[memory_index] = (
-                controller.memory_row_cycles(instruction) * multiplier
-            )
+            term = controller.memory_row_cycles(instruction) * multiplier
         else:
             sram_cycles = controller.compute_sram_cycles(
                 instruction, element_bits, float_factor, placement
             )
-            result.compute_durations[payload] = sram_cycles * multiplier + dispatch
-            compute_nj += (
+            cycles = sram_cycles * multiplier + dispatch
+            term = (
                 sram_cycles
                 * placement.active_lanes
                 * coefficients.sram_cycle_per_lane_pj
                 * energy_factor
                 / 1000.0
             )
+        return placement.lane_utilization, placement.cb_utilization, cycles, term
+
+    result = _ComputePass(len(static.engine_entries), len(static.memory_instructions))
+    memo: dict[tuple, tuple] = {}
+    compute_nj = 0.0
+    for op, payload in static.ops:
+        if op != _OP_ENGINE:
+            if op == _OP_CONFIG:
+                compute_nj += controller_nj
+            continue
+        compute_nj += controller_nj
+        instruction, memory_index = static.engine_entries[payload]
+        key = (
+            type(instruction),
+            instruction.opcode,
+            instruction.dtype,
+            getattr(instruction, "is_store", False),
+            getattr(instruction, "shape_lengths", ()),
+            getattr(instruction, "mask", None),
+        )
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = evaluate(instruction, memory_index >= 0)
+        lane_utilization, cb_utilization, cycles, term = entry
+        result.lane_utilization[payload] = lane_utilization
+        result.cb_utilization[payload] = cb_utilization
+        if memory_index >= 0:
+            result.tmu_cycles[memory_index] = cycles
+            result.sram_row_cycles[memory_index] = term
+        else:
+            result.compute_durations[payload] = cycles
+            compute_nj += term
     result.compute_nj = compute_nj
     return result
 

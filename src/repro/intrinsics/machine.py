@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core.address_gen import element_addresses
 from ..isa.datatypes import DataType
 from ..isa.encoding import StrideMode, resolve_strides
 from ..isa.instructions import (
@@ -195,46 +196,24 @@ class MVEMachine:
         self._emit(ConfigInstruction(Opcode.SET_STORE_STRIDE, operand_a=dim, operand_b=stride))
 
     # ------------------------------------------------------------------ #
-    # address generation (Algorithm 1 / Equation 1)
+    # stride resolution (Equation 1)
     # ------------------------------------------------------------------ #
 
-    def _element_addresses(
-        self,
-        dtype: DataType,
-        base_address: int,
-        stride_modes: Sequence[int],
-        is_store: bool,
-        random_bases: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, list[int]]:
-        """Byte address for every logical element in SIMD-lane order."""
+    def _resolved_strides(
+        self, stride_modes: Sequence[int], is_store: bool, is_random: bool
+    ) -> list[int]:
+        """Element strides of every dimension under the active control
+        registers (Equation 1); a random access's highest dimension takes
+        its bases from the pointer table instead, so its stride is 0."""
         shape = self._shape()
         modes = list(stride_modes)
         if len(modes) < shape.dim_count:
             modes = modes + [int(StrideMode.SEQUENTIAL)] * (shape.dim_count - len(modes))
         stride_regs = self.cr.store_strides if is_store else self.cr.load_strides
         lengths = list(shape.lengths)
-        if random_bases is not None:
-            # The highest dimension uses random base addresses; only the lower
-            # dimensions follow the stride semantics (Equation 1).
-            strides = resolve_strides(modes[: shape.dim_count - 1], lengths, stride_regs)
-            strides = strides + [0]
-        else:
-            strides = resolve_strides(modes[: shape.dim_count], lengths, stride_regs)
-
-        element_bytes = dtype.bytes
-        # Build per-dimension index grids in lane order (dim 0 fastest).
-        addresses = np.zeros(shape.total_elements, dtype=np.int64)
-        multiplier = 1
-        for dim, length in enumerate(lengths):
-            indices = (np.arange(shape.total_elements) // multiplier) % length
-            if random_bases is not None and dim == shape.dim_count - 1:
-                addresses += random_bases[indices]
-            else:
-                addresses += indices * strides[dim] * element_bytes
-            multiplier *= length
-        if random_bases is None:
-            addresses += base_address
-        return addresses, strides
+        if is_random:
+            return resolve_strides(modes[: shape.dim_count - 1], lengths, stride_regs) + [0]
+        return resolve_strides(modes[: shape.dim_count], lengths, stride_regs)
 
     def _active_lane_mask(self, shape: VectorShape, mask: DimMask) -> np.ndarray:
         inner = shape.total_elements // shape.highest_dim_length
@@ -262,6 +241,38 @@ class MVEMachine:
         """Random vector store: unique base per highest-dimension element."""
         self._store(value, pointer_table_address, stride_modes, random_table=True)
 
+    def _memory_instruction(
+        self,
+        opcode: Opcode,
+        dtype: DataType,
+        base_address: int,
+        stride_modes: Sequence[int],
+        register: Optional[int] = None,
+    ) -> MemoryInstruction:
+        """The memory instruction the active control registers make of an
+        access (a load gets a fresh destination register)."""
+        shape = self._shape()
+        self._check_shape_fits(shape)
+        is_store = opcode in (Opcode.STRIDED_STORE, Opcode.RANDOM_STORE)
+        is_random = opcode in (Opcode.RANDOM_LOAD, Opcode.RANDOM_STORE)
+        random_bases: tuple[int, ...] = ()
+        if is_random:
+            pointers = self.memory.read_pointer_table(base_address, shape.highest_dim_length)
+            random_bases = tuple(int(b) for b in pointers)
+        return MemoryInstruction(
+            opcode,
+            dtype=dtype,
+            register=self._new_register() if register is None else register,
+            base_address=base_address,
+            stride_modes=tuple(int(m) for m in stride_modes),
+            is_store=is_store,
+            is_random=is_random,
+            random_bases=random_bases,
+            resolved_strides=tuple(self._resolved_strides(stride_modes, is_store, is_random)),
+            shape_lengths=shape.lengths,
+            mask=self.cr.mask_snapshot(),
+        )
+
     def _load(
         self,
         dtype: DataType,
@@ -269,42 +280,18 @@ class MVEMachine:
         stride_modes: Sequence[int],
         random_table: Optional[bool],
     ) -> MDV:
+        opcode = Opcode.RANDOM_LOAD if random_table else Opcode.STRIDED_LOAD
+        instruction = self._memory_instruction(opcode, dtype, base_address, stride_modes)
         shape = self._shape()
-        self._check_shape_fits(shape)
-        random_bases = None
-        random_base_tuple: tuple[int, ...] = ()
-        if random_table:
-            random_bases = self.memory.read_pointer_table(
-                base_address, shape.highest_dim_length
-            )
-            random_base_tuple = tuple(int(b) for b in random_bases)
-        addresses, strides = self._element_addresses(
-            dtype, base_address, stride_modes, is_store=False, random_bases=random_bases
-        )
-        mask = self.cr.mask_snapshot()
+        mask = instruction.mask
         values = np.zeros(shape.total_elements, dtype=dtype.numpy_dtype)
+        # Element addresses are only needed to move values; the timing trace
+        # (values off) never expands them.
         if self.record_values and mask.count:
             lane_mask = self._active_lane_mask(shape, mask)
-            values[lane_mask] = self.memory.read_elements(addresses[lane_mask], dtype)
-
-        register = self._new_register()
-        opcode = Opcode.RANDOM_LOAD if random_table else Opcode.STRIDED_LOAD
-        self._emit(
-            MemoryInstruction(
-                opcode,
-                dtype=dtype,
-                register=register,
-                base_address=base_address,
-                stride_modes=tuple(int(m) for m in stride_modes),
-                is_store=False,
-                is_random=bool(random_table),
-                random_bases=random_base_tuple,
-                resolved_strides=tuple(strides),
-                shape_lengths=shape.lengths,
-                mask=mask,
-            )
-        )
-        return MDV(register, dtype, shape, values)
+            values[lane_mask] = self.memory.read_elements(element_addresses(instruction), dtype)
+        self._emit(instruction)
+        return MDV(instruction.register, dtype, shape, values)
 
     def _store(
         self,
@@ -313,41 +300,19 @@ class MVEMachine:
         stride_modes: Sequence[int],
         random_table: Optional[bool],
     ) -> None:
-        shape = self._shape()
-        self._check_shape_fits(shape)
-        dtype = value.dtype
-        random_bases = None
-        random_base_tuple: tuple[int, ...] = ()
-        if random_table:
-            random_bases = self.memory.read_pointer_table(
-                base_address, shape.highest_dim_length
-            )
-            random_base_tuple = tuple(int(b) for b in random_bases)
-        addresses, strides = self._element_addresses(
-            dtype, base_address, stride_modes, is_store=True, random_bases=random_bases
+        opcode = Opcode.RANDOM_STORE if random_table else Opcode.STRIDED_STORE
+        instruction = self._memory_instruction(
+            opcode, value.dtype, base_address, stride_modes, register=value.register
         )
-        mask = self.cr.mask_snapshot()
+        shape = self._shape()
+        mask = instruction.mask
         if self.record_values and mask.count:
             lane_mask = self._active_lane_mask(shape, mask)
             stored = self._conform(value, shape)
-            self.memory.write_elements(addresses[lane_mask], stored[lane_mask], dtype)
-
-        opcode = Opcode.RANDOM_STORE if random_table else Opcode.STRIDED_STORE
-        self._emit(
-            MemoryInstruction(
-                opcode,
-                dtype=dtype,
-                register=value.register,
-                base_address=base_address,
-                stride_modes=tuple(int(m) for m in stride_modes),
-                is_store=True,
-                is_random=bool(random_table),
-                random_bases=random_base_tuple,
-                resolved_strides=tuple(strides),
-                shape_lengths=shape.lengths,
-                mask=mask,
+            self.memory.write_elements(
+                element_addresses(instruction), stored[lane_mask], value.dtype
             )
-        )
+        self._emit(instruction)
 
     # ------------------------------------------------------------------ #
     # move instructions

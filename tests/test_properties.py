@@ -621,3 +621,291 @@ class TestStreamMemoryPassParity:
             return dataclasses.replace(HierarchyConfig(), dram=dram)
 
         self._assert_stream_parity(trace, _DRAM_TIMINGS[:2], True, table_iv)
+
+
+# --------------------------------------------------------------------- #
+#  Cache-line footprints by row decomposition
+# --------------------------------------------------------------------- #
+
+#: derandomized: the footprint and compute-pass cases below are exact
+#: differential checks, so every run draws the same examples
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _expanded_footprint(instruction, line_bytes):
+    """The oracle: expand every active element address, then sort and
+    deduplicate the lines."""
+    from repro.core.address_gen import element_addresses
+
+    return np.unique(element_addresses(instruction) // line_bytes) * line_bytes
+
+
+#: element strides: zero, negative, sub-line and longer than a line
+_FOOTPRINT_STRIDES = [0, 1, 2, 3, -1, -5, 16, 40, -70, 129]
+#: one element width of each size: 1, 2, 4 and 8 bytes
+_FOOTPRINT_DTYPES = ["INT8", "FLOAT16", "INT32", "UINT64"]
+
+
+@st.composite
+def _repeated_access_patterns(draw):
+    """Memory instructions repeating one access pattern at shifted bases.
+
+    Shifts by multiples of 128 keep every residue (memo hits on a new
+    line); other shifts land unaligned.  Random rows may repeat and are
+    unsorted; masks are empty, all-set, partial or all-clear.
+    """
+    from repro.isa import DimMask, MemoryInstruction, Opcode
+
+    lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    strides = tuple(
+        draw(
+            st.lists(
+                st.sampled_from(_FOOTPRINT_STRIDES), min_size=len(lengths), max_size=len(lengths)
+            )
+        )
+    )
+    dtype = DataType[draw(st.sampled_from(_FOOTPRINT_DTYPES))]
+    rows = lengths[-1]
+    mask_kind = draw(st.sampled_from(["empty", "all-set", "partial", "all-clear"]))
+    if mask_kind == "empty":
+        mask = DimMask.EMPTY
+    elif mask_kind == "partial":
+        mask = DimMask.from_lanes(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    else:
+        mask = DimMask.from_lanes([mask_kind == "all-set"] * rows)
+    is_random = draw(st.booleans())
+    row_bases = draw(
+        st.lists(
+            st.one_of(st.integers(0, 4096), st.sampled_from([100, 1000])),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    base = draw(st.integers(0, 8192))
+    shifts = draw(
+        st.lists(
+            st.one_of(st.integers(-300, 300), st.sampled_from([0, 128, 384, -512])),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    instructions = []
+    for shift in shifts:
+        if is_random:
+            instructions.append(
+                MemoryInstruction(
+                    Opcode.RANDOM_LOAD,
+                    dtype=dtype,
+                    is_random=True,
+                    random_bases=tuple(b + shift for b in row_bases),
+                    resolved_strides=strides,
+                    shape_lengths=lengths,
+                    mask=mask,
+                )
+            )
+        else:
+            instructions.append(
+                MemoryInstruction(
+                    Opcode.STRIDED_STORE,
+                    dtype=dtype,
+                    is_store=True,
+                    base_address=base + shift,
+                    resolved_strides=strides,
+                    shape_lengths=lengths,
+                    mask=mask,
+                )
+            )
+    if draw(st.booleans()):
+        position = draw(st.integers(0, len(instructions)))
+        instructions.insert(position, MemoryInstruction(Opcode.STRIDED_LOAD))
+    return instructions
+
+
+class TestFootprintDecomposition:
+    """``cache_line_addresses`` (row decomposition) and ``trace_footprints``
+    (its per-pattern memo) against expanding every element address."""
+
+    @DIFFERENTIAL
+    @given(st.lists(_repeated_access_patterns(), min_size=1, max_size=3))
+    def test_footprints_match_element_expansion(self, patterns):
+        from repro.core.address_gen import cache_line_addresses, trace_footprints
+
+        # patterns interleaved so one memo serves several of them
+        instructions = [i for group in zip(*patterns) for i in group]
+        instructions += [i for group in patterns for i in group]
+        for line_bytes in (32, 64, 128):
+            memoized = trace_footprints(instructions, line_bytes)
+            assert len(memoized) == len(instructions)
+            for instruction, footprint in zip(instructions, memoized):
+                expected = _expanded_footprint(instruction, line_bytes)
+                for got in (cache_line_addresses(instruction, line_bytes), footprint):
+                    assert got.dtype == np.int64
+                    assert np.all(got[1:] > got[:-1]), "not sorted and unique"
+                    np.testing.assert_array_equal(got, expected)
+
+
+# --------------------------------------------------------------------- #
+#  Compute pass: memoized placement against the per-entry loop
+# --------------------------------------------------------------------- #
+
+
+def _per_entry_compute_pass(static, scheme, config, coefficients):
+    """The compute pass as a plain per-entry loop: placement, TMU and SRAM
+    latencies evaluated for every engine entry, energy summed in trace
+    order."""
+    from repro.core.controller import MVEControllerModel
+    from repro.core.replay import _OP_CONFIG, _OP_ENGINE, _ComputePass
+    from repro.sram.tmu import TransposeMemoryUnit
+
+    controller = MVEControllerModel(config.engine, scheme)
+    tmu = TransposeMemoryUnit(config.tmu)
+    multiplier = config.sram_cycle_multiplier
+    float_factor = config.float_latency_factor
+    dispatch = config.controller_dispatch_cycles
+    energy_factor = scheme.energy_per_cycle_factor
+
+    result = _ComputePass(len(static.engine_entries), len(static.memory_instructions))
+    compute_nj = 0.0
+    for op, payload in static.ops:
+        if op != _OP_ENGINE:
+            if op == _OP_CONFIG:
+                compute_nj += 1 * coefficients.controller_instruction_pj / 1000.0
+            continue
+        compute_nj += 1 * coefficients.controller_instruction_pj / 1000.0
+        instruction, memory_index = static.engine_entries[payload]
+        element_bits = instruction.dtype.bits
+        placement = controller.placement(instruction, element_bits)
+        result.lane_utilization[payload] = placement.lane_utilization
+        result.cb_utilization[payload] = placement.cb_utilization
+        if memory_index >= 0:
+            active_elements = instruction.active_elements()
+            active_cbs = max(1, placement.active_control_blocks)
+            elements_per_cb = (active_elements + active_cbs - 1) // active_cbs
+            if instruction.is_store:
+                cycles = tmu.drain_cycles(elements_per_cb, element_bits)
+            else:
+                cycles = tmu.fill_cycles(elements_per_cb, element_bits)
+            result.tmu_cycles[memory_index] = cycles
+            result.sram_row_cycles[memory_index] = (
+                controller.memory_row_cycles(instruction) * multiplier
+            )
+        else:
+            sram_cycles = controller.compute_sram_cycles(
+                instruction, element_bits, float_factor, placement
+            )
+            result.compute_durations[payload] = sram_cycles * multiplier + dispatch
+            compute_nj += (
+                sram_cycles
+                * placement.active_lanes
+                * coefficients.sram_cycle_per_lane_pj
+                * energy_factor
+                / 1000.0
+            )
+    result.compute_nj = compute_nj
+    return result
+
+
+#: a small pool so shapes repeat across entries; () is an unshaped access
+_COMPUTE_SHAPES = [(), (16,), (8, 4), (4, 4, 2), (300, 3), (2048,), (64, 64)]
+_COMPUTE_DTYPES = ["INT8", "UINT16", "FLOAT16", "INT32", "FLOAT32", "INT64"]
+_COMPUTE_OPCODES = ["ADD", "MUL", "DIV", "MAC", "XOR", "GT", "SHIFT_IMM", "SET_DUP"]
+
+
+@st.composite
+def _engine_entries(draw):
+    """One trace entry: a load, store, spill, move, arithmetic, config
+    instruction or scalar block, with a drawn shape, mask and dtype."""
+    from repro.isa import (
+        ArithmeticInstruction,
+        ConfigInstruction,
+        DimMask,
+        MemoryInstruction,
+        MoveInstruction,
+        Opcode,
+        ScalarBlock,
+    )
+
+    kind = draw(
+        st.sampled_from(["load", "store", "random", "spill", "move", "arith", "config", "scalar"])
+    )
+    if kind == "scalar":
+        return ScalarBlock(count=draw(st.integers(1, 9)), loads=1)
+    if kind == "config":
+        return ConfigInstruction(Opcode.SET_DIM_COUNT, operand_a=2)
+    dtype = DataType[draw(st.sampled_from(_COMPUTE_DTYPES))]
+    if kind == "move":
+        opcode = draw(st.sampled_from([Opcode.COPY, Opcode.CONVERT]))
+        return MoveInstruction(opcode, dtype=dtype, src_dtype=DataType.INT32)
+    shape = draw(st.sampled_from(_COMPUTE_SHAPES))
+    mask = DimMask.EMPTY
+    if shape and draw(st.booleans()):
+        rows = shape[-1]
+        lanes = draw(
+            st.sampled_from([[True] * rows, [False] * rows, [i % 3 == 0 for i in range(rows)]])
+        )
+        mask = DimMask.from_lanes(lanes)
+    if kind == "arith":
+        opcode = Opcode[draw(st.sampled_from(_COMPUTE_OPCODES))]
+        return ArithmeticInstruction(opcode, dtype=dtype, shape_lengths=shape, mask=mask)
+    is_store = kind == "store" or (kind == "spill" and draw(st.booleans()))
+    if kind == "random":
+        opcode = Opcode.RANDOM_STORE if is_store else Opcode.RANDOM_LOAD
+    else:
+        opcode = Opcode.STRIDED_STORE if is_store else Opcode.STRIDED_LOAD
+    return MemoryInstruction(
+        opcode,
+        dtype=dtype,
+        is_store=is_store,
+        is_random=kind == "random",
+        shape_lengths=shape,
+        mask=mask,
+        is_spill=kind == "spill",
+    )
+
+
+class TestComputePassMemo:
+    """``_run_compute_pass`` (one evaluation per distinct instruction
+    pattern) against the per-entry loop, field by field and exactly."""
+
+    @DIFFERENTIAL
+    @given(
+        st.lists(_engine_entries(), min_size=1, max_size=40),
+        st.sampled_from([1.0, 1.5, 3.0]),
+        st.sampled_from([1.0, 2.0]),
+        st.sampled_from([0, 4, 7]),
+    )
+    def test_memoized_pass_matches_per_entry_loop(
+        self, entries, float_factor, multiplier, dispatch
+    ):
+        import dataclasses
+
+        from repro.core import default_config
+        from repro.core.energy import EnergyCoefficients
+        from repro.core.replay import _run_compute_pass, _StaticTrace
+        from repro.sram import get_scheme
+        from repro.sram.schemes import SCHEME_NAMES
+
+        # every entry twice: the second copy hits the memo
+        trace = entries + entries
+        coefficients = EnergyCoefficients()
+        static = _StaticTrace(trace, coefficients)
+        config = dataclasses.replace(
+            default_config(),
+            float_latency_factor=float_factor,
+            sram_cycle_multiplier=multiplier,
+            controller_dispatch_cycles=dispatch,
+        )
+        fields = (
+            "compute_durations",
+            "lane_utilization",
+            "cb_utilization",
+            "tmu_cycles",
+            "sram_row_cycles",
+            "compute_nj",
+        )
+        for name in SCHEME_NAMES:
+            scheme = get_scheme(name)
+            got = _run_compute_pass(static, scheme, config, coefficients)
+            want = _per_entry_compute_pass(static, scheme, config, coefficients)
+            for field in fields:
+                assert getattr(got, field) == getattr(want, field), (name, field)
